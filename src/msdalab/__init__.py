@@ -11,7 +11,9 @@ The package is organized as:
     cli        `msda` command line (generate | train | suite | cam)
 """
 
-from . import autodiff, cam, cli, data, losses, model, trainer
+import importlib
+
+from . import autodiff, cam, data, losses, model, trainer
 from .autodiff import ComputationTape, Tensor, backward, finite_difference_check, no_grad
 from .data import DomainSpec, LabeledSet, UnlabeledSet, default_roster, generate_domain, split
 from .losses import (
@@ -50,3 +52,11 @@ __all__ = [
     "Heatmap", "aggregate_cams", "compute_cam", "export_pgm",
 ]
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # cli is imported on first use: ``python -m msdalab.cli`` warns when the
+    # package has already imported the module it is about to run
+    if name == "cli":
+        return importlib.import_module(".cli", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -14,7 +14,6 @@ import math
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 
 class ShapeError(ValueError):
@@ -28,9 +27,12 @@ class ContractError(ValueError):
 class Tensor:
     """N-dimensional float64 array, optionally tracked for gradients.
 
-    ``grad`` is a same-shape accumulation buffer, allocated iff
-    ``requires_grad`` is set. ``backward`` adds into it; it is never
-    cleared implicitly (call ``zero_grad``).
+    ``grad`` holds the accumulated same-shape gradient. A tensor created
+    with ``requires_grad`` (a leaf) starts with a zero buffer; the output
+    of a tracked operation starts with ``None`` and ``backward`` gives it
+    an array on first write. ``backward`` adds to it and never clears it
+    (call ``zero_grad``). The array may be shared with other nodes'
+    gradients, so it is replaced rather than written in place.
     """
 
     __slots__ = ("data", "requires_grad", "grad")
@@ -59,7 +61,7 @@ class Tensor:
 
     def zero_grad(self) -> None:
         if self.grad is not None:
-            self.grad.fill(0.0)
+            self.grad = np.zeros_like(self.data)
 
     def detach(self) -> "Tensor":
         return Tensor(self.data.copy())
@@ -170,11 +172,15 @@ def no_grad():
 
 
 def _emit(out_data, parents: tuple, fn: Callable) -> Tensor:
-    tracked = _GRAD_ENABLED and any(p.requires_grad for p in parents)
-    out = Tensor(out_data, requires_grad=tracked)
-    if tracked:
+    out = Tensor(out_data)
+    if _GRAD_ENABLED and any(p.requires_grad for p in parents):
+        out.requires_grad = True  # grad stays None until backward writes it
         _TAPE.record(out, parents, fn)
     return out
+
+
+def _accumulate(t: Tensor, g: np.ndarray) -> None:
+    t.grad = g if t.grad is None else t.grad + g
 
 
 def backward(loss: Tensor) -> None:
@@ -211,30 +217,34 @@ def backward(loss: Tensor) -> None:
     adjoint: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
     holders: dict[int, Tensor] = {id(loss): loss}
 
+    # An adjoint array may be held by several nodes at once (``add`` hands
+    # the same ``g`` to both parents, and it is also ``out.grad``), so it is
+    # stored by reference and never updated in place.
     def put(t: Tensor, g) -> None:
         if not t.requires_grad:
             return
         g = np.asarray(g, dtype=np.float64)
         key = id(t)
-        if key in adjoint:
-            adjoint[key] += g
-        else:
-            adjoint[key] = g.copy()
+        prev = adjoint.get(key)
+        if prev is None:
+            adjoint[key] = g
             holders[key] = t
+        else:
+            adjoint[key] = prev + g
 
     for i in sorted(reach, reverse=True):
         rec = records[i]
         g = adjoint.pop(id(rec.out), None)
         if g is None:
             continue
-        rec.out.grad += g
+        _accumulate(rec.out, g)
         for parent, pg in zip(rec.parents, rec.fn(g)):
             if pg is not None:
                 put(parent, pg)
 
     # whatever is left belongs to leaves (parameters, inputs)
     for key, g in adjoint.items():
-        holders[key].grad += g
+        _accumulate(holders[key], g)
 
 
 def zero_grads(params: Iterable[Tensor]) -> None:
@@ -345,10 +355,10 @@ def tabs(a: Tensor) -> Tensor:
 
 
 def relu(x: Tensor) -> Tensor:
-    """max(x, 0); derivative at exactly 0 is 0."""
+    """max(x, 0); derivative at exactly 0 is 0. NaN passes through."""
     x = _as_tensor(x)
-    mask = x.data > 0
-    return _emit(np.where(mask, x.data, 0.0), (x,), lambda g: (g * mask,))
+    out = np.maximum(x.data, 0.0)
+    return _emit(out, (x,), lambda g: (g * (out > 0),))
 
 
 def softmax_rows(x: Tensor) -> Tensor:
@@ -420,6 +430,15 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1) -> Tensor:
 
     Returns:
         (batch, c_out, h', w') with h' = floor((h - kh)/stride) + 1.
+
+    Layout: ``x`` is copied once, channel-major, into a (c_in, b*h*w + reach)
+    buffer with ``reach = (kh-1)*w + kw-1`` zero columns at the end. Tap
+    (i, j) of every output position is then the contiguous slice starting at
+    ``i*w + j``, so ``cols`` (c_in*kh*kw, b*h*w) is built from kh*kw slice
+    copies and the forward pass is one GEMM. Outputs are computed at every
+    input position and cropped to the valid, strided ones. ``cols`` holds
+    about c_in*kh*kw*b*h*w float64 (8 bytes each) and lives on the tape
+    until the graph is dropped, since dK needs it.
     """
     x, kernel = _as_tensor(x), _as_tensor(kernel)
     if x.ndim != 4 or kernel.ndim != 4:
@@ -435,36 +454,36 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1) -> Tensor:
 
     oh = (h - kh) // stride + 1
     ow = (w - kw) // stride + 1
-    win = sliding_window_view(x.data, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
-    cols = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5)).reshape(b * oh * ow, cin * kh * kw)
+    n = b * h * w
+    offsets = [i * w + j for i in range(kh) for j in range(kw)]
+    flat = np.empty((cin, n + offsets[-1]))  # offsets[-1] is the reach
+    flat[:, :n].reshape(cin, b, h, w)[...] = x.data.transpose(1, 0, 2, 3)
+    flat[:, n:] = 0.0
+    cols = np.empty((cin, kh * kw, n))
+    for t, off in enumerate(offsets):
+        cols[:, t] = flat[:, off : off + n]
+    cols = cols.reshape(cin * kh * kw, n)
     wmat = kernel.data.reshape(cout, cin * kh * kw)
-    out = np.ascontiguousarray((cols @ wmat.T).reshape(b, oh, ow, cout).transpose(0, 3, 1, 2))
+    # rows and columns of the valid, strided outputs inside the full grid
+    valid = (slice(None), slice(None), slice(0, stride * oh, stride), slice(0, stride * ow, stride))
+    full = (wmat @ cols).reshape(cout, b, h, w)
+    out = np.ascontiguousarray(full[valid].transpose(1, 0, 2, 3))
 
     def back(g):
-        gmat = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(b * oh * ow, cout)
+        g_full = np.zeros((cout, b, h, w))
+        g_full[valid] = g.transpose(1, 0, 2, 3)
+        g_full = g_full.reshape(cout, n)
         gk = gx = None
         if kernel.requires_grad:
-            gk = (gmat.T @ cols).reshape(cout, cin, kh, kw)
+            gk = (g_full @ cols.T).reshape(kernel.shape)
         if x.requires_grad:
-            if stride == 1:
-                # full correlation of the output adjoint with the flipped kernel
-                gp = np.pad(g, ((0, 0), (0, 0), (kh - 1, kh - 1), (kw - 1, kw - 1)))
-                wing = sliding_window_view(gp, (kh, kw), axis=(2, 3))
-                colsg = np.ascontiguousarray(wing.transpose(0, 2, 3, 1, 4, 5)).reshape(
-                    b * h * w, cout * kh * kw
-                )
-                wflip = np.ascontiguousarray(
-                    kernel.data[:, :, ::-1, ::-1].transpose(0, 2, 3, 1)
-                ).reshape(cout * kh * kw, cin)
-                gx = np.ascontiguousarray(
-                    (colsg @ wflip).reshape(b, h, w, cin).transpose(0, 3, 1, 2)
-                )
-            else:
-                gcols = (gmat @ wmat).reshape(b, oh, ow, cin, kh, kw).transpose(0, 3, 4, 5, 1, 2)
-                gx = np.zeros((b, cin, h, w))
-                for i in range(kh):
-                    for j in range(kw):
-                        gx[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride] += gcols[:, :, i, j]
+            gcols = (wmat.T @ g_full).reshape(cin, kh * kw, n)
+            # a valid output at p reads x at p + off < n, so the tail of each
+            # shifted slice holds only invalid outputs, whose adjoint is zero
+            gflat = gcols[:, 0].copy()
+            for t, off in enumerate(offsets[1:], start=1):
+                gflat[:, off:] += gcols[:, t, : n - off]
+            gx = np.ascontiguousarray(gflat.reshape(cin, b, h, w).transpose(1, 0, 2, 3))
         return (gx, gk)
 
     return _emit(out, (x, kernel), back)

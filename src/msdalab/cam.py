@@ -117,24 +117,31 @@ def export_pgm(hm: Heatmap, path) -> None:
     pixels = np.rint(255.0 * up).astype(int)
     h, w = pixels.shape
     lines = ["P2", f"{w} {h}", "255"]
-    lines += [" ".join(str(v) for v in row) for row in pixels]
+    lines += [" ".join(map(str, row)) for row in pixels.tolist()]
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def read_pgm(path) -> np.ndarray:
-    """Parse a plain P2 PGM back into an integer array."""
+    """Parse a plain P2 PGM with maxval 255 back into an integer array.
+
+    Raises ContractError, naming the file, unless the body holds exactly
+    width x height integers in 0..maxval.
+    """
     with open(path, "r", encoding="ascii") as fh:
-        tokens = []
-        for line in fh:
-            body = line.split("#", 1)[0]
-            tokens.extend(body.split())
-    if not tokens or tokens[0] != "P2":
+        tokens = " ".join(line.split("#", 1)[0] for line in fh).split()
+    if len(tokens) < 4 or tokens[0] != "P2":
         raise ContractError(f"not a plain PGM: {path}")
-    w, h, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
-    values = np.array([int(t) for t in tokens[4 : 4 + w * h]])
-    if values.size != w * h:
-        raise ContractError(f"PGM pixel count mismatch in {path}")
+    try:
+        w, h, maxval = (int(t) for t in tokens[1:4])
+        values = np.array(tokens[4:], dtype=np.int64)
+    except ValueError as exc:
+        raise ContractError(f"non-integer token in PGM {path}: {exc}") from None
     if maxval != 255:
         raise ContractError(f"expected maxval 255, got {maxval}")
+    if w < 1 or h < 1 or values.size != w * h:
+        raise ContractError(f"PGM pixel count mismatch in {path}: "
+                            f"header says {w}x{h}, body has {values.size} values")
+    if values.min() < 0 or values.max() > maxval:
+        raise ContractError(f"PGM pixel value outside 0..{maxval} in {path}")
     return values.reshape(h, w)

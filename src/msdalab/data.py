@@ -16,6 +16,7 @@ influences the output.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 from scipy.ndimage import convolve1d
@@ -134,11 +135,10 @@ def _box_blur(img: np.ndarray, radius: float) -> np.ndarray:
     return convolve1d(out, weights, axis=1, mode="nearest")
 
 
-def _rotate_nearest(img: np.ndarray, degrees: float, fill: float) -> np.ndarray:
-    """Nearest-neighbor rotation about the image center; outside -> fill."""
-    if degrees == 0.0:
-        return img.copy()
-    h, w = img.shape
+@lru_cache(maxsize=64)
+def _rotation_map(h: int, w: int, degrees: float):
+    """Pixels of an (h, w) image that a rotation about its center keeps,
+    and the source pixel of each; read-only, since every caller shares them."""
     cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
     th = np.deg2rad(degrees)
     rows, cols = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
@@ -146,8 +146,19 @@ def _rotate_nearest(img: np.ndarray, degrees: float, fill: float) -> np.ndarray:
     src_r = np.rint(np.cos(th) * dy + np.sin(th) * dx + cy).astype(np.intp)
     src_c = np.rint(-np.sin(th) * dy + np.cos(th) * dx + cx).astype(np.intp)
     inside = (src_r >= 0) & (src_r < h) & (src_c >= 0) & (src_c < w)
+    arrays = (inside, src_r[inside], src_c[inside])
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+def _rotate_nearest(img: np.ndarray, degrees: float, fill: float) -> np.ndarray:
+    """Nearest-neighbor rotation about the image center; outside -> fill."""
+    if degrees == 0.0:
+        return img.copy()
+    inside, src_r, src_c = _rotation_map(*img.shape, float(degrees))
     out = np.full_like(img, fill)
-    out[inside] = img[src_r[inside], src_c[inside]]
+    out[inside] = img[src_r, src_c]
     return out
 
 
@@ -291,18 +302,26 @@ def write_dataset(ds: LabeledSet, path) -> None:
         fh.write(np.ascontiguousarray(ds.labels, dtype="<i8").tobytes())
 
 
-def read_dataset(path) -> LabeledSet:
+def read_header(path, magic: str) -> tuple[list[str], bytes]:
+    """Read a file framed as a text header ended by a whole ``END`` line,
+    then a binary body. Returns the header lines after ``magic``, and the body."""
     with open(path, "rb") as fh:
         raw = fh.read()
-    end = raw.index(b"END\n")
+    end = raw.find(b"\nEND\n")
+    if end < 0:
+        raise ContractError(f"{path}: header has no END line")
     header = raw[:end].decode("ascii").splitlines()
-    if header[0] != _MAGIC:
-        raise ContractError(f"not a dataset file: bad magic {header[0]!r}")
-    meta = {line.split()[0]: line.split()[1:] for line in header[1:]}
+    if header[0] != magic:
+        raise ContractError(f"{path}: bad magic {header[0]!r}, expected {magic!r}")
+    return header[1:], raw[end + len(b"\nEND\n") :]
+
+
+def read_dataset(path) -> LabeledSet:
+    header, body = read_header(path, _MAGIC)
+    meta = {line.split()[0]: line.split()[1:] for line in header}
     name = meta["name"][0]
     n = int(meta["n"][0])
     shape = tuple(int(v) for v in meta["shape"])
-    body = raw[end + 4 :]
     pixel_count = n * int(np.prod(shape))
     images = np.frombuffer(body, dtype="<f8", count=pixel_count).reshape((n, *shape))
     labels = np.frombuffer(body, dtype="<i8", count=n, offset=pixel_count * 8)

@@ -31,6 +31,7 @@ from .autodiff import (
     softmax_rows,
     uniform_parameter,
 )
+from .data import read_header
 from .seeding import rng_for
 
 SHARED_MAPS_1 = 8
@@ -204,16 +205,10 @@ def save_checkpoint(model: MsdaModel, path) -> None:
 
 
 def load_checkpoint(path) -> MsdaModel:
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    end = raw.index(b"END\n")
-    header = raw[:end].decode("ascii").splitlines()
-    body = raw[end + 4 :]
-    if header[0] != _MAGIC:
-        raise ContractError(f"not a checkpoint file: bad magic {header[0]!r}")
+    header, body = read_header(path, _MAGIC)
     meta = {}
     entries = []
-    for line in header[1:]:
+    for line in header:
         fields = line.split()
         if fields[0] == "param":
             name = fields[1]

@@ -139,15 +139,22 @@ def adam_step(params, grads, state: AdamState, hp: HyperParams, t: int):
     return params, state
 
 
+# Images per predict call in evaluate. conv2d's column buffer grows with the
+# batch (about 21 MB for a branch conv at 32 images). On a 2-vCPU x86 host at
+# one BLAS thread, predict ran at about 960 images/s in batches of 32 and 450
+# in batches of 512.
+EVAL_BATCH = 32
+
+
 def evaluate(model: MsdaModel, test: LabeledSet) -> float:
     """Fraction of ensemble predictions matching the ground truth."""
     if test.n == 0:
         raise ContractError("cannot evaluate on an empty set")
     hits = 0
-    for lo in range(0, test.n, 512):
-        imgs = Tensor(test.images[lo : lo + 512])
+    for lo in range(0, test.n, EVAL_BATCH):
+        imgs = Tensor(test.images[lo : lo + EVAL_BATCH])
         labels, _ = predict(model, imgs)
-        hits += int(np.sum(np.asarray(labels) == test.labels[lo : lo + 512]))
+        hits += int(np.sum(np.asarray(labels) == test.labels[lo : lo + EVAL_BATCH]))
     return hits / test.n
 
 

@@ -4,6 +4,8 @@ Every differentiable primitive is checked against central finite
 differences on random inputs in [-1, 1].
 """
 
+import zlib
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,25 @@ FD_TOL = 1e-4
 
 def rand(shape, seed, lo=-1.0, hi=1.0):
     return np.random.default_rng(seed).uniform(lo, hi, size=shape)
+
+
+def reference_conv(x, k, g, stride):
+    """Forward, dX and dK of a valid convolution by nested loops over windows."""
+    b, _, h, w = x.shape
+    cout, _, kh, kw = k.shape
+    oh, ow = (h - kh) // stride + 1, (w - kw) // stride + 1
+    out = np.zeros((b, cout, oh, ow))
+    gx, gk = np.zeros_like(x), np.zeros_like(k)
+    for n in range(b):
+        for o in range(cout):
+            for r in range(oh):
+                for c in range(ow):
+                    win = (n, slice(None), slice(r * stride, r * stride + kh),
+                           slice(c * stride, c * stride + kw))
+                    out[n, o, r, c] = np.sum(x[win] * k[o])
+                    gx[win] += g[n, o, r, c] * k[o]
+                    gk[o] += g[n, o, r, c] * x[win]
+    return out, gx, gk
 
 
 class TestMatmul:
@@ -72,6 +93,45 @@ class TestConv2d:
         with pytest.raises(ShapeError):
             conv2d(Tensor(np.zeros((1, 1, 2, 2))), Tensor(np.zeros((1, 1, 3, 3))), 1)
 
+    @pytest.mark.parametrize("stride, x_shape, k_shape", [
+        (1, (1, 2, 5, 7), (3, 2, 3, 2)),
+        (2, (2, 3, 7, 6), (2, 3, 3, 3)),
+        (3, (1, 1, 8, 11), (2, 1, 2, 4)),
+        (3, (2, 2, 9, 5), (1, 2, 1, 1)),
+    ])
+    def test_matches_nested_loop_reference(self, stride, x_shape, k_shape):
+        x = ad.parameter(rand(x_shape, 30))
+        k = ad.parameter(rand(k_shape, 31))
+        out = conv2d(x, k, stride)
+        g = rand(out.shape, 32)
+        backward(ad.tsum(ad.mul(out, Tensor(g))))
+        want_out, want_gx, want_gk = reference_conv(x.data, k.data, g, stride)
+        np.testing.assert_allclose(out.data, want_out, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(x.grad, want_gx, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(k.grad, want_gk, rtol=0, atol=1e-12)
+
+    def test_wide_kernel_stride_three_finite_differences(self):
+        x = ad.parameter(rand((2, 2, 7, 11), 33))
+        k = ad.parameter(rand((2, 2, 2, 5), 34))
+
+        def f():
+            out = conv2d(x, k, 3)
+            return ad.tsum(ad.mul(out, out))
+
+        assert finite_difference_check(f, [x, k], eps=1e-5) < FD_TOL
+
+    def test_input_feeding_two_convs_finite_differences(self):
+        x = ad.parameter(rand((2, 2, 6, 7), 35))
+        k1 = ad.parameter(rand((2, 2, 3, 3), 36))
+        k2 = ad.parameter(rand((3, 2, 2, 4), 37))
+
+        def f():
+            a = conv2d(x, k1, 1)
+            b = conv2d(x, k2, 2)
+            return ad.add(ad.tsum(ad.mul(a, a)), ad.tsum(ad.mul(b, b)))
+
+        assert finite_difference_check(f, [x, k1, k2], eps=1e-5) < FD_TOL
+
     @pytest.mark.parametrize("stride", [1, 2])
     def test_gradient_matches_finite_differences(self, stride):
         x = ad.parameter(rand((2, 2, 6, 5), 4))
@@ -102,6 +162,13 @@ class TestPointwiseOps:
         backward(ad.tsum(relu(x)))
         np.testing.assert_array_equal(x.grad, [0.0, 0.0, 1.0])
 
+    def test_relu_passes_nan(self):
+        x = ad.parameter([np.nan, -1.0, 2.0])
+        out = relu(x)
+        np.testing.assert_array_equal(out.data, [np.nan, 0.0, 2.0])
+        backward(ad.tsum(ad.mul(out, Tensor([0.0, 1.0, 1.0]))))
+        np.testing.assert_array_equal(x.grad, [0.0, 0.0, 1.0])
+
     def test_gap_mean(self):
         out = global_avg_pool(Tensor([[[[1.0, 2.0], [3.0, 4.0]]]]))
         np.testing.assert_array_equal(out.data, [[2.5]])
@@ -112,7 +179,7 @@ class TestPointwiseOps:
          "concat", "channel_bias", "transpose", "sum_axis", "mean", "add_bias", "reciprocal"],
     )
     def test_every_primitive_passes_gradient_check(self, name):
-        rng = np.random.default_rng(hash(name) % 2**32)
+        rng = np.random.default_rng(zlib.crc32(name.encode()))
         x = ad.parameter(rng.uniform(-1, 1, (4, 3)))
         y = ad.parameter(rng.uniform(-1, 1, (5, 3)))
         img = ad.parameter(rng.uniform(-1, 1, (2, 3, 4, 4)))
@@ -219,6 +286,29 @@ class TestBackward:
         x = ad.parameter([2.0])
         backward(ad.tsum(ad.mul(x, x)))
         np.testing.assert_array_equal(x.grad, [4.0])
+
+    def test_shared_adjoint_left_intact(self):
+        # add hands one adjoint array to both parents and keeps it as its
+        # own grad; summing the second parent's copy must not change it
+        x = ad.parameter(rand((3,), 19))
+        h = ad.mul(x, 1.5)
+        y = ad.add(h, h)
+        backward(ad.tsum(y))
+        np.testing.assert_array_equal(y.grad, np.ones(3))
+        np.testing.assert_array_equal(h.grad, np.full(3, 2.0))
+        np.testing.assert_array_equal(x.grad, np.full(3, 3.0))
+
+    def test_intermediate_grad_accumulates_across_backward_calls(self):
+        x = ad.parameter(rand((4,), 20))
+        h = ad.mul(x, 2.0)
+        assert h.grad is None
+        loss = ad.tsum(ad.mul(h, h))
+        backward(loss)
+        first = h.grad
+        np.testing.assert_array_equal(first, 2.0 * h.data)
+        backward(loss)
+        np.testing.assert_array_equal(h.grad, 4.0 * h.data)
+        np.testing.assert_array_equal(first, 2.0 * h.data)
 
     def test_forward_deterministic(self):
         x = Tensor(rand((6, 6), 13))

@@ -150,6 +150,13 @@ class TestPgm:
         export_pgm(hm, path)
         assert read_pgm(path).shape == (14, 20)
 
+    @pytest.mark.parametrize("body", ["300 -4", "1 2 3", "1", "1 x"])
+    def test_malformed_body_rejected_naming_the_file(self, tmp_path, body):
+        path = tmp_path / "bad.pgm"
+        path.write_text(f"P2\n2 1\n255\n{body}\n", encoding="ascii")
+        with pytest.raises(ContractError, match="bad.pgm"):
+            read_pgm(path)
+
     def test_upsample_covers_every_source_pixel(self):
         values = np.arange(4.0).reshape(2, 2)
         up = upsample_nearest(values, (4, 4))

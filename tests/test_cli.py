@@ -1,5 +1,9 @@
 """CLI tests: config round-trips, command plumbing, exit codes, files."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -117,6 +121,13 @@ class TestMainExitCodes:
 
     def test_unknown_flag_is_one(self, capsys):
         assert main(["train", "--nope"]) == 1
+
+    def test_run_as_module_without_warning(self):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        res = subprocess.run([sys.executable, "-m", "msdalab.cli", "--help"],
+                             capture_output=True, text=True, env=env, timeout=60)
+        assert res.returncode == 0
+        assert "Warning" not in res.stderr
 
     def test_missing_config_is_one(self, tmp_path, capsys):
         assert main(["train", "--config", str(tmp_path / "missing.cfg")]) == 1

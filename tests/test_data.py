@@ -242,6 +242,18 @@ class TestDatasetFiles:
         with pytest.raises(ContractError):
             read_dataset(path)
 
+    def test_header_ends_only_at_whole_end_line(self, tmp_path):
+        ds = generate_domain(DomainSpec("BEND"), 10, seed=27)
+        path = tmp_path / "bend.msda"
+        write_dataset(ds, path)
+        back = read_dataset(path)
+        assert back.domain_name == "BEND"
+        np.testing.assert_array_equal(back.images, ds.images)
+
+        path.write_bytes(path.read_bytes().replace(b"\nEND\n", b"\n", 1))
+        with pytest.raises(ContractError, match="bend.msda.*END"):
+            read_dataset(path)
+
 
 class TestStripLabels:
     def test_unlabeled_view(self):

@@ -236,3 +236,18 @@ class TestCheckpoint:
         path.write_bytes(b"WRONG 9\nEND\n")
         with pytest.raises(ContractError):
             load_checkpoint(path)
+
+    def test_header_ends_only_at_whole_end_line(self, tmp_path):
+        m = build_model(1, 2, seed=21)
+        path = tmp_path / "d.ckpt"
+        save_checkpoint(m, path)
+        raw = path.read_bytes()
+        magic_end = raw.index(b"\n") + 1
+        path.write_bytes(raw[:magic_end] + b"note BEND\n" + raw[magic_end:])
+        back = load_checkpoint(path)
+        for a, b in zip(m.parameters(), back.parameters()):
+            np.testing.assert_array_equal(a.data, b.data)
+
+        path.write_bytes(raw.replace(b"\nEND\n", b"\n", 1))
+        with pytest.raises(ContractError, match="d.ckpt.*END"):
+            load_checkpoint(path)
