@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from msdalab.autodiff import Tensor
-from msdalab.cam import aggregate_cams, compute_cam, export_pgm, upsample_nearest
+from msdalab.cam import aggregate_cams, compute_cams, export_pgm, upsample_nearest
 from msdalab.data import default_roster, generate_domain, split, strip_labels
 from msdalab.model import build_model, predict
 from msdalab.trainer import HyperParams, train_multi_source
@@ -42,7 +42,7 @@ ok_indices = np.flatnonzero(target_test.labels == 0)[:2]
 for i in ok_indices:
     img = Tensor(target_test.images[i : i + 1])
     label, _ = predict(model, img)
-    maps = [compute_cam(model, img, 0, j) for j in range(model.num_sources)]
+    maps = compute_cams(model, img, 0)
     agg = aggregate_cams(maps)
     print(f"\n=== target stamp #{i} (true OK, predicted {'OK' if label[0] == 0 else 'NOT-OK'})")
     print("input:")

@@ -28,7 +28,7 @@ from .losses import (
     mmd_squared,
     total_loss,
 )
-from .model import BranchOutput, MsdaModel, build_model, forward_branch, predict
+from .model import BranchOutput, MsdaModel, build_model, forward_all, forward_branch, predict
 from .trainer import (
     HyperParams,
     TrainReport,
@@ -38,7 +38,7 @@ from .trainer import (
     train_single_source,
     train_source_combined,
 )
-from .cam import Heatmap, aggregate_cams, compute_cam, export_pgm
+from .cam import Heatmap, aggregate_cams, compute_cam, compute_cams, export_pgm
 
 __all__ = [
     "autodiff", "cam", "cli", "data", "losses", "model", "trainer",
@@ -46,10 +46,10 @@ __all__ = [
     "DomainSpec", "LabeledSet", "UnlabeledSet", "default_roster", "generate_domain", "split",
     "KernelConfig", "LossWeights", "class_discrepancy", "coral_loss", "covariance",
     "cross_entropy", "feature_discrepancy", "gram", "mmd_squared", "total_loss",
-    "BranchOutput", "MsdaModel", "build_model", "forward_branch", "predict",
+    "BranchOutput", "MsdaModel", "build_model", "forward_all", "forward_branch", "predict",
     "HyperParams", "TrainReport", "evaluate", "run_protocol_suite",
     "train_multi_source", "train_single_source", "train_source_combined",
-    "Heatmap", "aggregate_cams", "compute_cam", "export_pgm",
+    "Heatmap", "aggregate_cams", "compute_cam", "compute_cams", "export_pgm",
 ]
 __version__ = "0.1.0"
 

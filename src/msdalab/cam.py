@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import ContractError, ShapeError, Tensor, no_grad
-from .model import MsdaModel, feature_maps
+from .model import MsdaModel, all_feature_maps, feature_maps
 
 
 @dataclass
@@ -51,18 +51,27 @@ def class_weight_vector(model: MsdaModel, class_index: int, branch: int):
     return w_fc @ w_cls, float(b_fc @ w_cls + b_cls)
 
 
+def _check_one_image(image: Tensor) -> None:
+    if image.ndim != 4 or image.shape[0] != 1:
+        raise ShapeError(f"expected a single image (1, c, h, w), got {image.shape}")
+
+
+def _class_map(model: MsdaModel, maps: np.ndarray, class_index: int, branch: int):
+    """Weighted sum of one image's (k, h', w') branch maps, plus the composed bias."""
+    weights, bias = class_weight_vector(model, class_index, branch)
+    return np.tensordot(weights, maps, axes=(0, 0)), bias
+
+
 def raw_class_map(model: MsdaModel, image: Tensor, class_index: int, branch: int):
     """Unnormalized class-evidence map plus the composed bias.
 
     The global average of the returned map equals the class logit minus
     the returned bias.
     """
-    if image.ndim != 4 or image.shape[0] != 1:
-        raise ShapeError(f"expected a single image (1, c, h, w), got {image.shape}")
-    weights, bias = class_weight_vector(model, class_index, branch)
+    _check_one_image(image)
     with no_grad():
         maps = feature_maps(model, image, branch).data[0]
-    return np.tensordot(weights, maps, axes=(0, 0)), bias
+    return _class_map(model, maps, class_index, branch)
 
 
 def _normalize(raw: np.ndarray) -> np.ndarray:
@@ -72,15 +81,32 @@ def _normalize(raw: np.ndarray) -> np.ndarray:
     return (raw - lo) / (hi - lo)
 
 
-def compute_cam(model: MsdaModel, image: Tensor, class_index: int, branch: int) -> Heatmap:
-    """Normalized heatmap of one class for one branch on one image."""
-    raw, _ = raw_class_map(model, image, class_index, branch)
+def _heatmap(raw: np.ndarray, class_index: int, branch: int, image: Tensor) -> Heatmap:
     return Heatmap(
         values=_normalize(raw),
         branch=branch,
         class_index=class_index,
         source_image_shape=tuple(image.shape[2:]),
     )
+
+
+def compute_cam(model: MsdaModel, image: Tensor, class_index: int, branch: int) -> Heatmap:
+    """Normalized heatmap of one class for one branch on one image."""
+    raw, _ = raw_class_map(model, image, class_index, branch)
+    return _heatmap(raw, class_index, branch, image)
+
+
+def compute_cams(model: MsdaModel, image: Tensor, class_index: int) -> list:
+    """``compute_cam`` for every branch, from one shared-extractor pass.
+
+    Element ``j`` equals ``compute_cam(model, image, class_index, j)``.
+    """
+    _check_one_image(image)
+    maps = all_feature_maps(model, image)[0]
+    k = maps.shape[0] // model.num_sources
+    return [_heatmap(_class_map(model, maps[j * k : (j + 1) * k], class_index, j)[0],
+                     class_index, j, image)
+            for j in range(model.num_sources)]
 
 
 def aggregate_cams(maps: list) -> Heatmap:

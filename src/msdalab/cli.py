@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .autodiff import Tensor
-from .cam import aggregate_cams, compute_cam, export_pgm
+from .cam import aggregate_cams, compute_cams, export_pgm
 from .data import (
     DomainSpec,
     default_roster,
@@ -328,7 +328,7 @@ def _export_cams(cfg: RunConfig, model, target_test) -> None:
         img = Tensor(target_test.images[i : i + 1])
         label, _ = predict(model, img)
         cls = label[0]
-        per_branch = [compute_cam(model, img, cls, j) for j in range(model.num_sources)]
+        per_branch = compute_cams(model, img, cls)
         for j, hm in enumerate(per_branch):
             export_pgm(hm, cam_dir / f"{cfg.target}_{j}_{cls}_{i:04d}.pgm")
         export_pgm(aggregate_cams(per_branch), cam_dir / f"{cfg.target}_aggregate_{cls}_{i:04d}.pgm")

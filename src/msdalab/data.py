@@ -284,9 +284,13 @@ def minibatches(ds: LabeledSet, batch: int, seed: int, epoch: int):
 _MAGIC = "MSDADATA 1"
 
 
+def _label_counts(labels: np.ndarray) -> list:
+    n_classes = int(labels.max()) + 1 if labels.size else 0
+    return [int((labels == k).sum()) for k in range(n_classes)]
+
+
 def write_dataset(ds: LabeledSet, path) -> None:
-    n_classes = int(ds.labels.max()) + 1 if ds.n else 0
-    counts = [int((ds.labels == k).sum()) for k in range(n_classes)]
+    counts = _label_counts(ds.labels)
     header = "\n".join(
         [
             _MAGIC,
@@ -311,18 +315,48 @@ def read_header(path, magic: str) -> tuple[list[str], bytes]:
     if end < 0:
         raise ContractError(f"{path}: header has no END line")
     header = raw[:end].decode("ascii").splitlines()
-    if header[0] != magic:
-        raise ContractError(f"{path}: bad magic {header[0]!r}, expected {magic!r}")
+    first = header[0] if header else ""
+    if first != magic:
+        raise ContractError(f"{path}: bad magic {first!r}, expected {magic!r}")
     return header[1:], raw[end + len(b"\nEND\n") :]
 
 
 def read_dataset(path) -> LabeledSet:
+    """Read a file written by ``write_dataset``.
+
+    Raises ContractError, naming the file and the field, for a missing or
+    malformed header line, a body whose length disagrees with ``n`` and
+    ``shape``, labels outside {0, 1}, or label counts that disagree with
+    the ``labels`` line.
+    """
     header, body = read_header(path, _MAGIC)
-    meta = {line.split()[0]: line.split()[1:] for line in header}
+    meta = {fields[0]: fields[1:] for fields in map(str.split, header) if fields}
+
+    def ints(key: str) -> list:
+        if key not in meta:
+            raise ContractError(f"{path}: header has no {key!r} line")
+        try:
+            return [int(v) for v in meta[key]]
+        except ValueError:
+            raise ContractError(f"{path}: {key!r} line is not integers: {meta[key]}") from None
+
+    if not meta.get("name"):
+        raise ContractError(f"{path}: header has no 'name' line")
     name = meta["name"][0]
-    n = int(meta["n"][0])
-    shape = tuple(int(v) for v in meta["shape"])
+    n_field, shape, counts = ints("n"), tuple(ints("shape")), ints("labels")
+    if len(n_field) != 1:
+        raise ContractError(f"{path}: 'n' line needs one integer, got {meta['n']}")
+    n = n_field[0]
     pixel_count = n * int(np.prod(shape))
+    expected = pixel_count * 8 + n * 8
+    if len(body) != expected:
+        raise ContractError(f"{path}: body has {len(body)} bytes, but 'n' {n} and 'shape' "
+                            f"{shape} need {expected}")
     images = np.frombuffer(body, dtype="<f8", count=pixel_count).reshape((n, *shape))
-    labels = np.frombuffer(body, dtype="<i8", count=n, offset=pixel_count * 8)
-    return LabeledSet(images.astype(np.float64, copy=True), labels.astype(np.int64, copy=True), name)
+    labels = np.frombuffer(body, dtype="<i8", count=n, offset=pixel_count * 8).astype(np.int64)
+    outside = np.flatnonzero((labels != 0) & (labels != 1))
+    if outside.size:
+        raise ContractError(f"{path}: 'labels' outside {{0, 1}} at rows {outside[:10].tolist()}")
+    if _label_counts(labels) != counts:
+        raise ContractError(f"{path}: 'labels' line says {counts}, body has {_label_counts(labels)}")
+    return LabeledSet(images.astype(np.float64, copy=True), labels, name)

@@ -8,6 +8,12 @@ Architecture (valid convolutions, no padding):
     shared:   conv 3x3 -> 8 maps, relu; conv 3x3 -> 16 maps, relu
     branch j: conv 3x3 -> 16 maps, relu; GAP; affine 16 -> 16
     head j:   affine 16 -> num_classes
+
+A batch that every branch sees (the target batch in training, and every
+batch in ``predict``) goes through the shared extractor once and fans out
+to the branches (``forward_all``). Without a tape, ``all_feature_maps``
+also stacks the branch kernels on the output-channel axis, so all branch
+convolutions run as one convolution.
 """
 
 from __future__ import annotations
@@ -127,13 +133,24 @@ def _shared_forward(model: MsdaModel, x: Tensor) -> Tensor:
     return relu(add_channel_bias(conv2d(h, p["shared.conv2.weight"]), p["shared.conv2.bias"]))
 
 
+def _branch_maps(model: MsdaModel, shared: Tensor, j: int) -> Tensor:
+    p = model.params
+    return relu(add_channel_bias(conv2d(shared, p[f"branch{j}.conv.weight"]), p[f"branch{j}.conv.bias"]))
+
+
+def _branch_head(model: MsdaModel, pooled: Tensor, j: int) -> BranchOutput:
+    """Affine feature map and classifier of branch ``j`` on its pooled maps."""
+    p = model.params
+    features = add(matmul(pooled, p[f"branch{j}.fc.weight"]), p[f"branch{j}.fc.bias"])
+    logits = add(matmul(features, p[f"branch{j}.cls.weight"]), p[f"branch{j}.cls.bias"])
+    return BranchOutput(features=features, logits=logits, probs=softmax_rows(logits))
+
+
 def feature_maps(model: MsdaModel, x: Tensor, j: int) -> Tensor:
     """Last pre-GAP convolutional activation of branch ``j``, (b, k, h', w')."""
     _check_branch(model, j)
     _check_input(model, x)
-    p = model.params
-    shared = _shared_forward(model, x)
-    return relu(add_channel_bias(conv2d(shared, p[f"branch{j}.conv.weight"]), p[f"branch{j}.conv.bias"]))
+    return _branch_maps(model, _shared_forward(model, x), j)
 
 
 def _check_branch(model: MsdaModel, j: int) -> None:
@@ -143,12 +160,35 @@ def _check_branch(model: MsdaModel, j: int) -> None:
 
 def forward_branch(model: MsdaModel, x: Tensor, j: int) -> BranchOutput:
     """Run input images through the shared extractor and branch ``j``."""
-    maps = feature_maps(model, x, j)
+    return _branch_head(model, global_avg_pool(feature_maps(model, x, j)), j)
+
+
+def forward_all(model: MsdaModel, x: Tensor) -> list:
+    """``forward_branch`` for every branch, with one shared-extractor pass.
+
+    Element ``j`` equals ``forward_branch(model, x, j)`` exactly.
+    """
+    _check_input(model, x)
+    shared = _shared_forward(model, x)
+    return [_branch_head(model, global_avg_pool(_branch_maps(model, shared, j)), j)
+            for j in range(model.num_sources)]
+
+
+def all_feature_maps(model: MsdaModel, x: Tensor) -> np.ndarray:
+    """Pre-GAP maps of every branch, untracked, (b, branches * k, h', w').
+
+    Channels ``j*k .. (j+1)*k - 1`` equal ``feature_maps(model, x, j)``. The
+    branch kernels are stacked on the output-channel axis, so the shared
+    extractor and the branch convolutions each run once.
+    """
+    _check_input(model, x)
     p = model.params
-    pooled = global_avg_pool(maps)
-    features = add(matmul(pooled, p[f"branch{j}.fc.weight"]), p[f"branch{j}.fc.bias"])
-    logits = add(matmul(features, p[f"branch{j}.cls.weight"]), p[f"branch{j}.cls.bias"])
-    return BranchOutput(features=features, logits=logits, probs=softmax_rows(logits))
+    convs = [f"branch{j}.conv" for j in range(model.num_sources)]
+    with no_grad():
+        shared = _shared_forward(model, x)
+        kernel = Tensor(np.concatenate([p[f"{c}.weight"].data for c in convs]))
+        bias = Tensor(np.concatenate([p[f"{c}.bias"].data for c in convs]))
+        return relu(add_channel_bias(conv2d(shared, kernel), bias)).data
 
 
 def predict(model: MsdaModel, x: Tensor):
@@ -156,14 +196,21 @@ def predict(model: MsdaModel, x: Tensor):
 
     Returns (labels, avg_probs) where avg_probs is the uniform mean of the
     branch softmax outputs and labels is the per-row argmax, ties broken
-    toward the lower class index.
+    toward the lower class index. A row that is not finite (one NaN pixel
+    makes it so) raises ContractError naming the rows, instead of being
+    labelled.
     """
+    pooled = all_feature_maps(model, x).mean(axis=(2, 3))
     with no_grad():
         acc = None
         for j in range(model.num_sources):
-            probs = forward_branch(model, x, j).probs
+            cols = pooled[:, j * BRANCH_MAPS : (j + 1) * BRANCH_MAPS]
+            probs = _branch_head(model, Tensor(cols), j).probs
             acc = probs if acc is None else add(acc, probs)
         avg = Tensor(acc.data / model.num_sources)
+    bad = np.flatnonzero(~np.isfinite(avg.data).all(axis=1))
+    if bad.size:
+        raise ContractError(f"non-finite class probabilities in rows {bad.tolist()}")
     labels = [int(i) for i in np.argmax(avg.data, axis=1)]
     return labels, avg
 

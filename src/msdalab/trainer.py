@@ -13,6 +13,10 @@ over all branch outputs on the target batch, then takes one Adam step on
 
     mean_j CL_j + lam_t * mean_j FD_j + gamma_t * CD.
 
+The target batch goes through the shared extractor once and fans out to
+every branch; each source batch goes through it once for its own branch.
+A non-finite CL, FD or CD raises NumericError before the update.
+
 The alignment weights ramp linearly from 0 to their configured values over
 the run (lam_t = lam * step/total_steps), so the classifiers establish a
 supervised signal before the unsupervised alignment pressure peaks;
@@ -50,8 +54,15 @@ from .data import (
     split,
     strip_labels,
 )
-from .losses import KernelConfig, LossWeights, class_discrepancy, cross_entropy, feature_discrepancy
-from .model import MsdaModel, build_model, forward_branch, predict
+from .losses import (
+    KernelConfig,
+    LossWeights,
+    NumericError,
+    class_discrepancy,
+    cross_entropy,
+    feature_discrepancy,
+)
+from .model import MsdaModel, build_model, forward_all, forward_branch, predict
 
 
 @dataclass(frozen=True)
@@ -202,23 +213,19 @@ def _train(model: MsdaModel, sources, target: UnlabeledSet, hp: HyperParams,
             if size < 2:
                 continue  # a length-1 tail cannot feed a covariance
             with scoped_tape():
-                cl_terms, fd_terms, target_probs = [], [], []
-                target_batch = None
+                cl_terms, fd_terms = [], []
+                out_tgt = None
                 if want_fd or want_cd:
                     sel = tperm[np.arange(lo, lo + size) % n_target]
-                    target_batch = Tensor(target.images[sel])
+                    out_tgt = forward_all(model, Tensor(target.images[sel]))
                 for j, tr in enumerate(train_sets):
                     rows = perms[j][lo : lo + size]
                     out_src = forward_branch(model, Tensor(tr.images[rows]), j)
                     cl_terms.append(cross_entropy(out_src.logits, tr.labels[rows]))
-                    if target_batch is not None:
-                        out_tgt = forward_branch(model, target_batch, j)
-                        if want_fd:
-                            fd_terms.append(
-                                feature_discrepancy(out_src.features, out_tgt.features, hp.kernel)
-                            )
-                        if want_cd:
-                            target_probs.append(out_tgt.probs)
+                    if want_fd:
+                        fd_terms.append(
+                            feature_discrepancy(out_src.features, out_tgt[j].features, hp.kernel)
+                        )
 
                 ramp = (step + 1) / total_steps
                 cl = cl_terms[0]
@@ -236,15 +243,20 @@ def _train(model: MsdaModel, sources, target: UnlabeledSet, hp: HyperParams,
                     total = total + mul(fd, lam * ramp)
                     fd_value = fd.item()
                 if want_cd:
-                    cd = class_discrepancy(target_probs)
+                    cd = class_discrepancy([out.probs for out in out_tgt])
                     total = total + mul(cd, gamma * ramp)
                     cd_value = cd.item()
+                values = (cl.item(), fd_value, cd_value)
+                for name, value in zip(("cl", "fd", "cd"), values):
+                    if not math.isfinite(value):
+                        raise NumericError(f"{name} is {value} at epoch {epoch}, step {step + 1}; "
+                                           "refusing to update the weights")
 
                 zero_grads(params)
                 backward(total)
                 step += 1
                 adam_step(params, [p.grad for p in params], state, hp, step)
-                sums += (cl.item(), fd_value, cd_value, total.item())
+                sums += (*values, total.item())
                 counted += 1
         means = sums / max(counted, 1)
         per_epoch.append(EpochStats(*means, _val_accuracy(model, val_sets)))

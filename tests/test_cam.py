@@ -8,6 +8,7 @@ from msdalab.cam import (
     Heatmap,
     aggregate_cams,
     compute_cam,
+    compute_cams,
     export_pgm,
     raw_class_map,
     read_pgm,
@@ -81,6 +82,25 @@ class TestRawClassMap:
             compute_cam(m, image(), 2, 0)
         with pytest.raises(ContractError):
             compute_cam(m, image(), 0, 1)
+
+
+class TestComputeCams:
+    @pytest.mark.parametrize("branches", [1, 3])
+    def test_equals_per_branch_cams(self, branches):
+        m = build_model(branches, 2, seed=12)
+        img = image(seed=3)
+        for cls in (0, 1):
+            cams = compute_cams(m, img, cls)
+            assert len(cams) == branches
+            for j, hm in enumerate(cams):
+                ref = compute_cam(m, img, cls, j)
+                np.testing.assert_array_equal(hm.values, ref.values)
+                assert (hm.branch, hm.class_index, hm.source_image_shape) == (j, cls, (28, 28))
+
+    def test_needs_one_image(self):
+        m = build_model(2, 2, seed=13)
+        with pytest.raises(ShapeError):
+            compute_cams(m, Tensor(np.zeros((2, 1, 28, 28))), 0)
 
 
 class TestAggregate:

@@ -7,7 +7,8 @@ import sys
 import numpy as np
 import pytest
 
-from msdalab.cam import read_pgm
+from msdalab.autodiff import Tensor
+from msdalab.cam import aggregate_cams, compute_cam, export_pgm, read_pgm
 from msdalab.cli import (
     RunConfig,
     UsageError,
@@ -17,7 +18,8 @@ from msdalab.cli import (
     parse_config,
     serialize_config,
 )
-from msdalab.data import read_dataset
+from msdalab.data import read_dataset, split
+from msdalab.model import load_checkpoint, predict
 
 
 def write_config(tmp_path, **overrides):
@@ -208,6 +210,32 @@ class TestTrainSuiteCam:
         assert main(["cam", "--config", str(path), "--checkpoint", str(ckpt)]) == 0
         cams = list((tmp_path / "out" / "cams").glob("*.pgm"))
         assert cams == []
+
+
+class TestExportCams:
+    def test_train_export_matches_per_branch_maps(self, tmp_path):
+        path = write_config(tmp_path, protocol="multi", sources="Ab, Bu, Bo", export_cams="true",
+                            n_per_domain=40, **{"hyper.epochs": 1})
+        assert main(["generate", "--config", str(path)]) == 0
+        assert main(["train", "--config", str(path)]) == 0
+        out = tmp_path / "out"
+        model = load_checkpoint(out / "checkpoint_multi_Os.ckpt")
+        target = read_dataset(out / "datasets" / "Os.msda")
+        _, _, test = split(target, 0, stratified=False)
+        ref_dir = tmp_path / "ref"
+        ref_dir.mkdir()
+        for i in range(2):
+            img = Tensor(test.images[i : i + 1])
+            cls = predict(model, img)[0][0]
+            maps = [compute_cam(model, img, cls, j) for j in range(3)]
+            names = [f"Os_{j}_{cls}_{i:04d}.pgm" for j in range(3)]
+            for name, hm in zip(names, maps):
+                export_pgm(hm, ref_dir / name)
+            names.append(f"Os_aggregate_{cls}_{i:04d}.pgm")
+            export_pgm(aggregate_cams(maps), ref_dir / names[-1])
+            for name in names:
+                assert (out / "cams" / name).read_bytes() == (ref_dir / name).read_bytes(), name
+        assert len(list((out / "cams").glob("*.pgm"))) == 8
 
 
 class TestSuiteCommand:

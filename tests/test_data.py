@@ -242,6 +242,12 @@ class TestDatasetFiles:
         with pytest.raises(ContractError):
             read_dataset(path)
 
+    def test_empty_header_rejected(self, tmp_path):
+        path = tmp_path / "junk.msda"
+        path.write_bytes(b"\nEND\n")
+        with pytest.raises(ContractError, match="junk.msda.*bad magic"):
+            read_dataset(path)
+
     def test_header_ends_only_at_whole_end_line(self, tmp_path):
         ds = generate_domain(DomainSpec("BEND"), 10, seed=27)
         path = tmp_path / "bend.msda"
@@ -252,6 +258,49 @@ class TestDatasetFiles:
 
         path.write_bytes(path.read_bytes().replace(b"\nEND\n", b"\n", 1))
         with pytest.raises(ContractError, match="bend.msda.*END"):
+            read_dataset(path)
+
+
+class TestMalformedDatasetFiles:
+    @pytest.fixture
+    def written(self, tmp_path):
+        path = tmp_path / "ab.msda"
+        write_dataset(generate_domain(default_roster()[0], 10, seed=28), path)
+        header, _, body = path.read_bytes().partition(b"\nEND\n")
+        return path, header + b"\nEND\n", body
+
+    @pytest.mark.parametrize("key", ["name", "n", "shape", "labels"])
+    def test_missing_header_line(self, written, key):
+        path, header, body = written
+        lines = [ln for ln in header.split(b"\n") if not ln.startswith(key.encode() + b" ")]
+        path.write_bytes(b"\n".join(lines) + body)
+        with pytest.raises(ContractError, match=f"ab.msda.*no '{key}' line"):
+            read_dataset(path)
+
+    def test_short_body(self, written):
+        path, header, body = written
+        path.write_bytes(header + body[:-100])
+        with pytest.raises(ContractError, match="ab.msda.*body has"):
+            read_dataset(path)
+
+    def test_trailing_bytes(self, written):
+        path, header, body = written
+        path.write_bytes(header + body + bytes(16))
+        with pytest.raises(ContractError, match="ab.msda.*body has"):
+            read_dataset(path)
+
+    def test_label_counts_disagree_with_header(self, written):
+        path, header, body = written
+        path.write_bytes(header.replace(b"labels 5 5", b"labels 6 4") + body)
+        with pytest.raises(ContractError, match="ab.msda.*'labels' line says"):
+            read_dataset(path)
+
+    def test_label_outside_classes(self, written):
+        path, header, body = written
+        labels = np.frombuffer(body[-80:], dtype="<i8").copy()
+        labels[3] = 5
+        path.write_bytes(header + body[:-80] + labels.astype("<i8").tobytes())
+        with pytest.raises(ContractError, match=r"ab.msda.*outside \{0, 1\} at rows \[3\]"):
             read_dataset(path)
 
 

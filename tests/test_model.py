@@ -6,15 +6,21 @@ import pytest
 from msdalab import autodiff as ad
 from msdalab.autodiff import ContractError, ShapeError, Tensor, backward
 from msdalab.losses import cross_entropy
+from msdalab import model as model_module
+from msdalab import trainer
+from msdalab.data import default_roster, generate_domain, strip_labels
+from msdalab.losses import LossWeights
 from msdalab.model import (
+    all_feature_maps,
     build_model,
     feature_maps,
+    forward_all,
     forward_branch,
     load_checkpoint,
     predict,
     save_checkpoint,
 )
-from msdalab.trainer import AdamState, HyperParams, adam_step
+from msdalab.trainer import AdamState, HyperParams, adam_step, train_multi_source, train_single_source
 
 
 def small_images(n, seed=0):
@@ -173,6 +179,100 @@ class TestPredict:
         m = build_model(2, 2, seed=14)
         x = small_images(5, seed=6)
         assert predict(m, x)[0] == predict(m, x)[0]
+
+
+class TestSharedTrunkFanOut:
+    @pytest.mark.parametrize("branches", [1, 2, 3])
+    def test_forward_all_equals_forward_branch(self, branches):
+        m = build_model(branches, 2, seed=20 + branches)
+        x = small_images(5, seed=branches)
+        outs = forward_all(m, x)
+        assert len(outs) == branches
+        for j, out in enumerate(outs):
+            ref = forward_branch(m, x, j)
+            for field in ("features", "logits", "probs"):
+                np.testing.assert_array_equal(getattr(out, field).data, getattr(ref, field).data)
+
+    @pytest.mark.parametrize("branches", [1, 2, 3])
+    def test_all_feature_maps_stack_every_branch(self, branches):
+        m = build_model(branches, 2, seed=30 + branches)
+        x = small_images(3, seed=branches)
+        maps = all_feature_maps(m, x)
+        assert maps.shape == (3, 16 * branches, 22, 22)
+        for j in range(branches):
+            np.testing.assert_array_equal(maps[:, 16 * j : 16 * (j + 1)], feature_maps(m, x, j).data)
+
+    @pytest.mark.parametrize("branches", [1, 2, 3])
+    def test_predict_is_uniform_mean_of_branch_probs(self, branches):
+        m = build_model(branches, 2, seed=40 + branches)
+        x = small_images(7, seed=branches)
+        acc = forward_branch(m, x, 0).probs.data
+        for j in range(1, branches):
+            acc = acc + forward_branch(m, x, j).probs.data
+        labels, avg = predict(m, x)
+        np.testing.assert_array_equal(avg.data, acc / branches)
+        assert labels == [int(i) for i in np.argmax(acc / branches, axis=1)]
+
+    def test_gradient_check_through_forward_all(self):
+        m = build_model(2, 2, image_spec=(1, 8, 8), seed=50)
+        rng = np.random.default_rng(51)
+        for p in m.parameters():
+            p.data += rng.normal(size=p.data.shape) * 0.1
+        x = Tensor(rng.uniform(0, 1, (3, 1, 8, 8)))
+        labels = [0, 1, 1]
+
+        def f():
+            losses = [cross_entropy(out.logits, labels) for out in forward_all(m, x)]
+            return ad.add(losses[0], losses[1])
+
+        names = ["shared.conv1.weight", "shared.conv2.bias", "branch0.conv.bias",
+                 "branch1.fc.bias", "branch0.cls.weight", "branch1.cls.weight"]
+        assert ad.finite_difference_check(f, [m[n] for n in names], eps=1e-5) < 1e-4
+
+    def test_non_finite_image_is_not_labelled(self):
+        m = build_model(2, 2, seed=52)
+        x = small_images(4, seed=9)
+        x.data[2, 0, 5, 5] = np.nan
+        with pytest.raises(ContractError, match=r"rows \[2\]"):
+            predict(m, x)
+
+
+def _count_trunk_passes(monkeypatch, m):
+    """Count conv2d calls on the model's first shared kernel."""
+    calls = []
+    conv = model_module.conv2d
+
+    def counting(x, kernel, *args, **kwargs):
+        if kernel is m["shared.conv1.weight"]:
+            calls.append(1)
+        return conv(x, kernel, *args, **kwargs)
+
+    monkeypatch.setattr(model_module, "conv2d", counting)
+    return calls
+
+
+class TestTrunkPasses:
+    def test_one_per_predict(self, monkeypatch):
+        m = build_model(3, 2, seed=53)
+        calls = _count_trunk_passes(monkeypatch, m)
+        predict(m, small_images(4))
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("sources, expected", [(3, 4), (1, 2)])
+    def test_per_training_step(self, monkeypatch, sources, expected):
+        roster = default_roster()
+        domains = [generate_domain(roster[k], 20, seed=0) for k in range(sources)]
+        target = strip_labels(generate_domain(roster[5], 20, seed=1))
+        # one epoch of one step: the 14-image train split fills one batch
+        hp = HyperParams(epochs=1, batch=14, seed=0, weights=LossWeights(lam=0.1, gamma=0.1))
+        monkeypatch.setattr(trainer, "_val_accuracy", lambda model, val_sets: 0.0)
+        m = build_model(sources, 2, seed=54)
+        calls = _count_trunk_passes(monkeypatch, m)
+        if sources == 1:
+            train_single_source(m, domains[0], target, hp)
+        else:
+            train_multi_source(m, domains, target, hp)
+        assert len(calls) == expected
 
 
 class TestFeatureMaps:

@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 
 from msdalab import autodiff as ad
+from msdalab import trainer
 from msdalab.autodiff import ContractError, Tensor
 from msdalab.data import LabeledSet, default_roster, generate_domain, split, strip_labels
-from msdalab.losses import KernelConfig, LossWeights, cross_entropy
+from msdalab.losses import KernelConfig, LossWeights, NumericError, cross_entropy
 from msdalab.model import build_model, forward_branch, predict
 from msdalab.trainer import (
     AdamState,
@@ -240,6 +241,18 @@ class TestProtocols:
             train_multi_source(model, sources, strip_labels(train), tiny_hp())
             weights.append(np.concatenate([p.data.ravel() for p in model.parameters()]))
         np.testing.assert_array_equal(weights[0], weights[1])
+
+    def test_non_finite_term_stops_before_the_update(self, monkeypatch):
+        monkeypatch.setattr(trainer, "feature_discrepancy",
+                            lambda src, tgt, kernel: ad.mul(ad.tsum(src), float("nan")))
+        sources = [domain("Ab", 40), domain("Bu", 40)]
+        target, _ = unlabeled_target()
+        model = build_model(2, 2, seed=3)
+        before = [p.data.copy() for p in model.parameters()]
+        with pytest.raises(NumericError, match="fd is nan"):
+            train_multi_source(model, sources, target, tiny_hp())
+        for a, p in zip(before, model.parameters()):
+            np.testing.assert_array_equal(a, p.data)
 
     def test_classification_loss_descends(self):
         # the total (with ramped alignment weights) is checked on the full
