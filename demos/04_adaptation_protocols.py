@@ -9,14 +9,7 @@ Run:  python demos/04_adaptation_protocols.py
 """
 
 from msdalab.data import default_roster, generate_domain, split, strip_labels
-from msdalab.model import build_model
-from msdalab.trainer import (
-    HyperParams,
-    evaluate,
-    train_multi_source,
-    train_single_source,
-    train_source_combined,
-)
+from msdalab.trainer import HyperParams, run_protocol
 
 TARGET = "Os"
 SOURCES = ["Ab", "Bu"]
@@ -31,20 +24,10 @@ target_unlabeled = strip_labels(target_train)
 print(f"target: {TARGET}   sources: {SOURCES}   n={N}/domain   epochs={hp.epochs}")
 print()
 
-model = build_model(1, 2, seed=hp.seed)
-report = train_single_source(model, data[SOURCES[0]], target_unlabeled, hp)
-acc_single = evaluate(model, target_test)
-print(f"single   ({SOURCES[0]:>6s})        target accuracy {100 * acc_single:6.2f}%")
-
-model = build_model(1, 2, seed=hp.seed)
-train_source_combined(model, [data[s] for s in SOURCES], target_unlabeled, hp)
-acc_comb = evaluate(model, target_test)
-print(f"combined ({'+'.join(SOURCES):>6s})        target accuracy {100 * acc_comb:6.2f}%")
-
-model = build_model(len(SOURCES), 2, seed=hp.seed)
-report = train_multi_source(model, [data[s] for s in SOURCES], target_unlabeled, hp)
-acc_multi = evaluate(model, target_test)
-print(f"multi    ({'+'.join(SOURCES):>6s})        target accuracy {100 * acc_multi:6.2f}%")
+for protocol, names in (("single", SOURCES[:1]), ("combined", SOURCES), ("multi", SOURCES)):
+    _, report = run_protocol(protocol, [data[s] for s in names], target_unlabeled, target_test, hp)
+    print(f"{protocol:8s} ({'+'.join(names):>6s})        target accuracy "
+          f"{100 * report.test_accuracy:6.2f}%")
 
 print()
 print("last-epoch loss components of the multi run:")

@@ -14,7 +14,7 @@ The package is organized as:
 import importlib
 
 from . import autodiff, cam, data, losses, model, trainer
-from .autodiff import ComputationTape, Tensor, backward, finite_difference_check, no_grad
+from .autodiff import Tensor, backward, finite_difference_check, no_grad
 from .data import DomainSpec, LabeledSet, UnlabeledSet, default_roster, generate_domain, split
 from .losses import (
     KernelConfig,
@@ -42,7 +42,7 @@ from .cam import Heatmap, aggregate_cams, compute_cam, compute_cams, export_pgm
 
 __all__ = [
     "autodiff", "cam", "cli", "data", "losses", "model", "trainer",
-    "ComputationTape", "Tensor", "backward", "finite_difference_check", "no_grad",
+    "Tensor", "backward", "finite_difference_check", "no_grad",
     "DomainSpec", "LabeledSet", "UnlabeledSet", "default_roster", "generate_domain", "split",
     "KernelConfig", "LossWeights", "class_discrepancy", "coral_loss", "covariance",
     "cross_entropy", "feature_discrepancy", "gram", "mmd_squared", "total_loss",

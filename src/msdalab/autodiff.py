@@ -63,9 +63,6 @@ class Tensor:
         if self.grad is not None:
             self.grad = np.zeros_like(self.data)
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag})"

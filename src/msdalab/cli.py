@@ -36,19 +36,16 @@ from .data import (
     write_dataset,
 )
 from .losses import KernelConfig, LossWeights
-from .model import build_model, load_checkpoint, save_checkpoint, predict
+from .model import load_checkpoint, save_checkpoint, predict
 from .trainer import (
+    PROTOCOLS,
     HyperParams,
-    evaluate,
     render_runs_csv,
     render_summary_csv,
+    run_protocol,
     run_protocol_suite,
-    train_multi_source,
-    train_single_source,
-    train_source_combined,
 )
 
-PROTOCOLS = ("single", "combined", "multi")
 _ROSTER_FIELDS = ("background_level", "blur_radius", "noise_sigma", "rotation_degrees", "glyph_contrast")
 
 
@@ -242,23 +239,35 @@ def cmd_generate(cfg: RunConfig) -> int:
     return 0
 
 
+_MANIFEST_FIELDS = ("name", "n", "seed", "sha256")
+
+
 def _load_verified(cfg: RunConfig, name: str):
+    """Read a generated dataset whose manifest entry matches ``cfg`` and its sha256."""
     manifest = _manifest_path(cfg)
     if not manifest.exists():
         raise UsageError(f"no manifest at {manifest}; run generate first")
-    checksums = {}
+    entries = {}
     for line in manifest.read_text(encoding="ascii").splitlines()[1:]:
         parts = line.split()
-        checksums[parts[0]] = parts[3]
+        if len(parts) < len(_MANIFEST_FIELDS):
+            raise UsageError(f"{manifest}: entry {line.strip()!r} has no "
+                             f"{_MANIFEST_FIELDS[len(parts)]} field")
+        entries[parts[0]] = parts
     path = _dataset_dir(cfg) / f"{name}.msda"
-    if name not in checksums or not path.exists():
+    if name not in entries or not path.exists():
         raise UsageError(f"dataset {name!r} not found under {_dataset_dir(cfg)}")
-    if _sha256(path) != checksums[name]:
+    _, n, seed, checksum = entries[name][:4]
+    for fieldname, got, want in (("n", n, cfg.n_per_domain), ("seed", seed, cfg.hyper.seed)):
+        if got != str(want):
+            raise UsageError(f"{manifest}: {name} was generated with {fieldname} {got}, "
+                             f"but the config asks for {want}; run generate again")
+    if _sha256(path) != checksum:
         raise RuntimeError(f"checksum mismatch for {path}; refusing to use a tampered dataset")
     return read_dataset(path)
 
 
-def _train_run(cfg: RunConfig):
+def cmd_train(cfg: RunConfig) -> int:
     if cfg.protocol == "single" and len(cfg.sources) != 1:
         raise UsageError("protocol=single needs exactly one source")
     if cfg.protocol in ("combined", "multi") and len(cfg.sources) < 2:
@@ -266,23 +275,8 @@ def _train_run(cfg: RunConfig):
     sources = [_load_verified(cfg, name) for name in cfg.sources]
     target = _load_verified(cfg, cfg.target)
     target_train, _, target_test = split(target, cfg.hyper.seed, stratified=False)
-    target_unlabeled = strip_labels(target_train)
-
-    branches = len(sources) if cfg.protocol == "multi" else 1
-    image_spec = (1,) + sources[0].images.shape[2:]
-    model = build_model(branches, 2, image_spec, seed=cfg.hyper.seed)
-    if cfg.protocol == "single":
-        report = train_single_source(model, sources[0], target_unlabeled, cfg.hyper)
-    elif cfg.protocol == "combined":
-        report = train_source_combined(model, sources, target_unlabeled, cfg.hyper)
-    else:
-        report = train_multi_source(model, sources, target_unlabeled, cfg.hyper)
-    report.test_accuracy = evaluate(model, target_test)
-    return model, report, target_test
-
-
-def cmd_train(cfg: RunConfig) -> int:
-    model, report, target_test = _train_run(cfg)
+    model, report = run_protocol(cfg.protocol, sources, strip_labels(target_train),
+                                 target_test, cfg.hyper)
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     stem = f"{cfg.protocol}_{cfg.target}"
@@ -342,8 +336,7 @@ def cmd_cam(cfg: RunConfig, checkpoint: str, n_images: int | None) -> int:
     model = load_checkpoint(ckpt)
     if n_images is not None:
         cfg = replace(cfg, n_images=n_images)
-    by_name = {s.name: s for s in cfg.roster}
-    target = generate_domain(by_name[cfg.target], cfg.n_per_domain, cfg.hyper.seed)
+    target = _load_verified(cfg, cfg.target)
     _, _, target_test = split(target, cfg.hyper.seed, stratified=False)
     _export_cams(cfg, model, target_test)
     return 0

@@ -260,16 +260,6 @@ def epoch_permutation(n: int, name: str, seed: int, epoch: int) -> np.ndarray:
     return rng_for(seed, "batches", name, epoch).permutation(n)
 
 
-def minibatches(ds: LabeledSet, batch: int, seed: int, epoch: int):
-    """Epoch-deterministic shuffled batches; the final short batch is kept."""
-    if not 1 <= batch <= ds.n:
-        raise ContractError(f"batch size {batch} out of range for {ds.n} samples")
-    perm = epoch_permutation(ds.n, ds.domain_name, seed, epoch)
-    for lo in range(0, ds.n, batch):
-        sel = perm[lo : lo + batch]
-        yield ds.images[sel], ds.labels[sel]
-
-
 # ---------------------------------------------------------------------------
 # dataset files: text header plus raw little-endian blocks
 #

@@ -61,13 +61,10 @@ class KernelConfig:
     ``bandwidth_multipliers`` m of exp(-||x - y||^2 / (m * sigma^2)).
     """
 
-    family: str = "gaussian"
     bandwidth_multipliers: tuple = DEFAULT_BANDWIDTH_MULTIPLIERS
     base_bandwidth: float | None = None
 
     def __post_init__(self):
-        if self.family != "gaussian":
-            raise ContractError(f"unsupported kernel family {self.family!r}")
         if len(self.bandwidth_multipliers) == 0:
             raise ContractError("need at least one bandwidth multiplier")
         if any(m <= 0 for m in self.bandwidth_multipliers):
@@ -219,7 +216,7 @@ def feature_discrepancy(
 def class_discrepancy(outputs: Sequence[Tensor]) -> Tensor:
     """Mean absolute disagreement between all pairs of classifier outputs.
 
-    Each element of ``outputs`` is a (batch, classes) matrix of
+    Each element of ``outputs`` is a (batch, classes) matrix of finite
     probabilities (rows summing to 1 within 1e-6). The pairwise terms are
     means over batch rows and classes of |p_i - p_j|, averaged over the
     C(N, 2) unordered pairs.
@@ -229,9 +226,12 @@ def class_discrepancy(outputs: Sequence[Tensor]) -> Tensor:
     if n < 2:
         raise ContractError(f"class discrepancy needs at least 2 classifier outputs, got {n}")
     shape = outputs[0].shape
-    for o in outputs:
+    for k, o in enumerate(outputs):
         if o.ndim != 2 or o.shape != shape:
             raise ShapeError(f"classifier outputs disagree in shape: {o.shape} vs {shape}")
+        bad = np.flatnonzero(~np.isfinite(o.data).all(axis=1))
+        if bad.size:
+            raise ContractError(f"classifier output {k} has non-finite rows {bad.tolist()}")
         row_sums = o.data.sum(axis=1)
         if np.any(np.abs(row_sums - 1.0) > 1e-6):
             raise ContractError("classifier outputs must be probability rows summing to 1")
@@ -265,11 +265,12 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
 
 def total_loss(cl: Tensor, fd: Tensor, cd: Tensor, w: LossWeights) -> Tensor:
     """Weighted sum cl + lam * fd + gamma * cd of scalar loss terms."""
-    terms = {"classification": cl, "feature discrepancy": fd, "class discrepancy": cd}
-    for name, t in terms.items():
+    terms = (("classification", "cl", cl), ("feature discrepancy", "fd", fd),
+             ("class discrepancy", "cd", cd))
+    for name, short, t in terms:
         t = _as_tensor(t)
         if t.size != 1:
             raise ShapeError(f"{name} loss must be scalar, got shape {t.shape}")
         if not math.isfinite(t.item()):
-            raise NumericError(f"{name} loss is not finite: {t.item()}")
+            raise NumericError(f"{name} loss is not finite: {short} is {t.item()}")
     return _as_tensor(cl) + mul(_as_tensor(fd), w.lam) + mul(_as_tensor(cd), w.gamma)

@@ -252,6 +252,8 @@ def save_checkpoint(model: MsdaModel, path) -> None:
 
 
 def load_checkpoint(path) -> MsdaModel:
+    """Read a file written by ``save_checkpoint``. A missing, repeated or unknown
+    parameter, an offset gap and a short or long body raise ContractError."""
     header, body = read_header(path, _MAGIC)
     meta = {}
     entries = []
@@ -272,13 +274,29 @@ def load_checkpoint(path) -> MsdaModel:
         seed=0,
         center_input=bool(int(meta.get("center_input", ["1"])[0])),
     )
+    loaded = set()
+    end = 0
     for name, dims, offset in entries:
-        count = int(np.prod(dims)) if dims else 1
-        values = np.frombuffer(body, dtype="<f8", count=count, offset=offset).reshape(dims)
         if name not in model.params:
-            raise ContractError(f"checkpoint has unknown parameter {name!r}")
+            raise ContractError(f"{path}: unknown parameter {name!r}")
+        if name in loaded:
+            raise ContractError(f"{path}: parameter {name!r} appears twice")
+        loaded.add(name)
         if model.params[name].shape != dims:
-            raise ShapeError(f"checkpoint parameter {name} has shape {dims}, expected {model.params[name].shape}")
+            raise ShapeError(f"{path}: parameter {name} has shape {dims}, expected {model.params[name].shape}")
+        if offset != end:
+            raise ContractError(f"{path}: parameter {name!r} starts at byte {offset}, expected {end}")
+        count = model.params[name].size
+        end = offset + 8 * count
+        if end > len(body):
+            raise ContractError(f"{path}: body of {len(body)} bytes ends inside parameter {name!r}")
+        values = np.frombuffer(body, dtype="<f8", count=count, offset=offset).reshape(dims)
         model.params[name].data = values.astype(np.float64, copy=True)
         model.params[name].grad = np.zeros_like(model.params[name].data)
+    for name in model.params:
+        if name not in loaded:
+            raise ContractError(f"{path}: no parameter {name!r}")
+    if end != len(body):
+        raise ContractError(f"{path}: {len(body) - end} bytes follow the last parameter "
+                            f"{entries[-1][0]!r}")
     return model

@@ -15,7 +15,9 @@ over all branch outputs on the target batch, then takes one Adam step on
 
 The target batch goes through the shared extractor once and fans out to
 every branch; each source batch goes through it once for its own branch.
-A non-finite CL, FD or CD raises NumericError before the update.
+The step loss is ``losses.total_loss`` over the three terms (an absent term
+is a constant 0), so a non-finite CL, FD or CD raises NumericError before
+the update.
 
 The alignment weights ramp linearly from 0 to their configured values over
 the run (lam_t = lam * step/total_steps), so the classifiers establish a
@@ -40,6 +42,7 @@ from .autodiff import (
     ContractError,
     ShapeError,
     Tensor,
+    as_scalar,
     backward,
     mul,
     scoped_tape,
@@ -61,6 +64,7 @@ from .losses import (
     class_discrepancy,
     cross_entropy,
     feature_discrepancy,
+    total_loss,
 )
 from .model import MsdaModel, build_model, forward_all, forward_branch, predict
 
@@ -106,10 +110,10 @@ class TrainReport:
     test_accuracy: float | None
     hyper: HyperParams
 
-    def run_row(self, seed: int | None = None) -> str:
+    def run_row(self) -> str:
         acc = -1.0 if self.test_accuracy is None else self.test_accuracy
-        s = self.hyper.seed if seed is None else seed
-        return f"{self.protocol},{self.target_name},{'+'.join(self.source_names)},{acc * 100:.2f},{s}"
+        return (f"{self.protocol},{self.target_name},{'+'.join(self.source_names)},"
+                f"{acc * 100:.2f},{self.hyper.seed}")
 
     def epoch_rows(self) -> list:
         rows = ["epoch,cl,fd,cd,total,val_accuracy"]
@@ -178,7 +182,7 @@ def _val_accuracy(model: MsdaModel, val_sets) -> float:
 
 
 def _train(model: MsdaModel, sources, target: UnlabeledSet, hp: HyperParams,
-           protocol: str, source_names, use_cd: bool) -> TrainReport:
+           protocol: str, source_names) -> TrainReport:
     lam = hp.weights.lam
     gamma = hp.weights.gamma
     splits = [split(ds, hp.seed) for ds in sources]
@@ -194,7 +198,7 @@ def _train(model: MsdaModel, sources, target: UnlabeledSet, hp: HyperParams,
     n_target = target.n
 
     want_fd = lam > 0.0
-    want_cd = use_cd and gamma > 0.0 and model.num_sources >= 2
+    want_cd = gamma > 0.0 and model.num_sources >= 2
 
     total_steps = hp.epochs * iters_per_epoch
     step = 0
@@ -227,36 +231,25 @@ def _train(model: MsdaModel, sources, target: UnlabeledSet, hp: HyperParams,
                             feature_discrepancy(out_src.features, out_tgt[j].features, hp.kernel)
                         )
 
-                ramp = (step + 1) / total_steps
-                cl = cl_terms[0]
-                for term in cl_terms[1:]:
-                    cl = cl + term
-                cl = mul(cl, 1.0 / len(cl_terms))
-                total = cl
-                fd_value = 0.0
-                cd_value = 0.0
+                cl = mul(sum(cl_terms[1:], cl_terms[0]), 1.0 / len(cl_terms))
+                fd = as_scalar(0.0)
                 if fd_terms:
-                    fd = fd_terms[0]
-                    for term in fd_terms[1:]:
-                        fd = fd + term
-                    fd = mul(fd, 1.0 / len(fd_terms))
-                    total = total + mul(fd, lam * ramp)
-                    fd_value = fd.item()
+                    fd = mul(sum(fd_terms[1:], fd_terms[0]), 1.0 / len(fd_terms))
+                cd = as_scalar(0.0)
                 if want_cd:
                     cd = class_discrepancy([out.probs for out in out_tgt])
-                    total = total + mul(cd, gamma * ramp)
-                    cd_value = cd.item()
-                values = (cl.item(), fd_value, cd_value)
-                for name, value in zip(("cl", "fd", "cd"), values):
-                    if not math.isfinite(value):
-                        raise NumericError(f"{name} is {value} at epoch {epoch}, step {step + 1}; "
-                                           "refusing to update the weights")
+                ramp = (step + 1) / total_steps
+                try:
+                    total = total_loss(cl, fd, cd, LossWeights(lam * ramp, gamma * ramp))
+                except NumericError as exc:
+                    raise NumericError(f"{exc} at epoch {epoch}, step {step + 1}; "
+                                       "refusing to update the weights") from exc
 
                 zero_grads(params)
                 backward(total)
                 step += 1
                 adam_step(params, [p.grad for p in params], state, hp, step)
-                sums += (*values, total.item())
+                sums += (cl.item(), fd.item(), cd.item(), total.item())
                 counted += 1
         means = sums / max(counted, 1)
         per_epoch.append(EpochStats(*means, _val_accuracy(model, val_sets)))
@@ -279,16 +272,14 @@ def train_multi_source(model: MsdaModel, sources, target_train: UnlabeledSet, hp
         raise ContractError(
             f"model has {model.num_sources} branches but {len(sources)} sources were given"
         )
-    return _train(model, sources, target_train, hp, "multi",
-                  [s.domain_name for s in sources], use_cd=True)
+    return _train(model, sources, target_train, hp, "multi", [s.domain_name for s in sources])
 
 
 def train_single_source(model: MsdaModel, source: LabeledSet, target_train: UnlabeledSet, hp: HyperParams) -> TrainReport:
     """Classic one-source adaptation; the class-discrepancy term is absent."""
     if model.num_sources != 1:
         raise ContractError(f"single-source training needs a 1-branch model, got {model.num_sources}")
-    return _train(model, [source], target_train, hp, "single",
-                  [source.domain_name], use_cd=False)
+    return _train(model, [source], target_train, hp, "single", [source.domain_name])
 
 
 def train_source_combined(model: MsdaModel, sources, target_train: UnlabeledSet, hp: HyperParams) -> TrainReport:
@@ -298,9 +289,8 @@ def train_source_combined(model: MsdaModel, sources, target_train: UnlabeledSet,
     if model.num_sources != 1:
         raise ContractError("source-combined training uses a 1-branch model")
     pooled = combine_sources(list(sources))
-    report = _train(model, [pooled], target_train, hp, "combined",
-                    [s.domain_name for s in sources], use_cd=False)
-    return report
+    return _train(model, [pooled], target_train, hp, "combined",
+                  [s.domain_name for s in sources])
 
 
 # ---------------------------------------------------------------------------
@@ -324,10 +314,15 @@ class SuiteResult:
     method_averages: dict
 
 
+PROTOCOLS = ("single", "combined", "multi")
 METHOD_ORDER = ("single", "combined2", "combined3", "multi2", "multi3")
 
 
-def _run_once(protocol: str, source_sets, target_train, target_test, hp: HyperParams) -> tuple:
+def run_protocol(protocol: str, source_sets, target_train: UnlabeledSet,
+                 target_test: LabeledSet, hp: HyperParams) -> tuple:
+    """Train a fresh model under one of PROTOCOLS and score it on ``target_test``.
+
+    Returns (model, report); the model has one branch per source under ``multi``."""
     n = len(source_sets) if protocol == "multi" else 1
     model = build_model(n, 2, (1,) + source_sets[0].images.shape[2:], seed=hp.seed)
     if protocol == "single":
@@ -377,8 +372,8 @@ def run_protocol_suite(roster, target_name: str, hp: HyperParams,
 
     runs = []
     for protocol, method, combo in jobs:
-        _, report = _run_once(protocol, [datasets[n] for n in combo],
-                              target_train, target_test, hp)
+        _, report = run_protocol(protocol, [datasets[n] for n in combo],
+                                 target_train, target_test, hp)
         runs.append(SuiteRun(protocol, method, target_name, combo,
                              report.test_accuracy, hp.seed))
 

@@ -153,6 +153,31 @@ class TestMainExitCodes:
         code = main(["cam", "--config", str(path), "--checkpoint", str(tmp_path / "no.ckpt")])
         assert code == 1
 
+    def test_cam_before_generate_is_one(self, workspace, tmp_path, capsys):
+        ws_tmp, _ = workspace
+        path = write_config(tmp_path)
+        ckpt = ws_tmp / "out" / "checkpoint_single_Os.ckpt"
+        assert main(["cam", "--config", str(path), "--checkpoint", str(ckpt)]) == 1
+        assert "no manifest at" in capsys.readouterr().err
+
+    def test_short_manifest_line_is_one(self, tmp_path, capsys):
+        path = write_config(tmp_path)
+        assert main(["generate", "--config", str(path)]) == 0
+        manifest = tmp_path / "out" / "datasets" / "manifest.txt"
+        lines = manifest.read_text().splitlines()
+        lines[1] = " ".join(lines[1].split()[:2])
+        manifest.write_text("\n".join(lines) + "\n")
+        assert main(["train", "--config", str(path)]) == 1
+        assert "entry 'Ab 60' has no seed field" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, field, value", [("n_per_domain", "n", 40), ("hyper.seed", "seed", 5)])
+    def test_manifest_from_another_config_is_one(self, tmp_path, capsys, key, field, value):
+        assert main(["generate", "--config", str(write_config(tmp_path))]) == 0
+        path = write_config(tmp_path, **{key: value})
+        assert main(["train", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert f"Ab was generated with {field} " in err and f"asks for {value}" in err
+
 
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
@@ -207,6 +232,7 @@ class TestTrainSuiteCam:
         path = write_config(tmp_path, n_images=0)
         # reuse the other workspace's checkpoint but write to fresh out dir
         ckpt = ws_tmp / "out" / "checkpoint_single_Os.ckpt"
+        assert main(["generate", "--config", str(path)]) == 0
         assert main(["cam", "--config", str(path), "--checkpoint", str(ckpt)]) == 0
         cams = list((tmp_path / "out" / "cams").glob("*.pgm"))
         assert cams == []

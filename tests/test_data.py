@@ -11,7 +11,6 @@ from msdalab.data import (
     default_roster,
     generate_domain,
     glyph_mask,
-    minibatches,
     read_dataset,
     split,
     strip_labels,
@@ -180,43 +179,6 @@ class TestCombineSources:
         b = D.LabeledSet(np.zeros((4, 1, 14, 14)), np.zeros(4, dtype=np.int64), "tiny")
         with pytest.raises(ShapeError):
             combine_sources([a, b])
-
-
-class TestMinibatches:
-    def test_single_full_batch_is_shuffled(self):
-        ds = generate_domain(default_roster()[0], 32, seed=19)
-        (imgs, labels), = list(minibatches(ds, 32, seed=0, epoch=0))
-        assert imgs.shape[0] == 32
-        assert not np.array_equal(labels, ds.labels)  # shuffled order
-        assert sorted(labels) == sorted(ds.labels)
-
-    def test_same_key_same_order(self):
-        ds = generate_domain(default_roster()[1], 48, seed=20)
-        a = [lbl.tolist() for _, lbl in minibatches(ds, 16, seed=1, epoch=3)]
-        b = [lbl.tolist() for _, lbl in minibatches(ds, 16, seed=1, epoch=3)]
-        assert a == b
-        c = [lbl.tolist() for _, lbl in minibatches(ds, 16, seed=1, epoch=4)]
-        assert a != c
-
-    def test_every_index_once_per_epoch(self):
-        ds = generate_domain(default_roster()[2], 50, seed=21)
-        seen = []
-        for imgs, _ in minibatches(ds, 16, seed=2, epoch=0):
-            seen.extend(img.tobytes() for img in imgs)
-        assert len(seen) == 50
-        assert set(seen) == {img.tobytes() for img in ds.images}
-
-    def test_short_final_batch(self):
-        ds = generate_domain(default_roster()[0], 50, seed=22)
-        sizes = [imgs.shape[0] for imgs, _ in minibatches(ds, 16, seed=0, epoch=0)]
-        assert sizes == [16, 16, 16, 2]
-
-    def test_batch_out_of_range(self):
-        ds = generate_domain(default_roster()[0], 20, seed=23)
-        with pytest.raises(ContractError):
-            list(minibatches(ds, 0, seed=0, epoch=0))
-        with pytest.raises(ContractError):
-            list(minibatches(ds, 21, seed=0, epoch=0))
 
 
 class TestDatasetFiles:

@@ -265,6 +265,11 @@ class TestClassDiscrepancy:
     def test_rejects_non_probability_rows(self):
         with pytest.raises(ContractError):
             class_discrepancy([Tensor([[0.9, 0.3]]), Tensor([[0.5, 0.5]])])
+        # a NaN row passes any |sum - 1| test
+        nan_rows = Tensor([[0.5, 0.5], [np.nan, np.nan], [1.0, 0.0]])
+        ok = Tensor([[0.5, 0.5]] * 3)
+        with pytest.raises(ContractError, match=r"output 1 has non-finite rows \[1\]"):
+            class_discrepancy([ok, nan_rows])
 
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ShapeError):
@@ -318,6 +323,8 @@ class TestTotalLoss:
     def test_non_finite_term_is_named(self):
         with pytest.raises(NumericError, match="feature discrepancy"):
             total_loss(Tensor(1.0), Tensor(np.inf), Tensor(0.0), LossWeights())
+        with pytest.raises(NumericError, match="class discrepancy loss is not finite: cd is nan"):
+            total_loss(Tensor(1.0), Tensor(0.0), Tensor(np.nan), LossWeights())
 
     def test_gradient_is_linear_combination(self):
         rng = np.random.default_rng(25)

@@ -299,6 +299,17 @@ class TestFeatureMaps:
         np.testing.assert_allclose(logits, out.logits.data, atol=1e-12)
 
 
+# how a checkpoint's header or body is broken -> the error it must raise
+LAYOUT_FAULTS = {
+    "missing": r"no parameter 'branch0\.cls\.bias'",
+    "repeated": r"parameter 'branch0\.cls\.bias' appears twice",
+    "unknown": r"unknown parameter 'branch9\.cls\.bias'",
+    "gap": r"parameter 'branch0\.cls\.bias' starts at byte \d+, expected \d+",
+    "short": r"body of \d+ bytes ends inside parameter 'branch0\.\w+\.weight'",
+    "long": r"16 bytes follow the last parameter 'branch0\.cls\.bias'",
+}
+
+
 class TestCheckpoint:
     def test_round_trip_bitwise(self, tmp_path):
         m = build_model(3, 2, seed=18)
@@ -350,4 +361,27 @@ class TestCheckpoint:
 
         path.write_bytes(raw.replace(b"\nEND\n", b"\n", 1))
         with pytest.raises(ContractError, match="d.ckpt.*END"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("case", LAYOUT_FAULTS)
+    def test_inconsistent_layout_names_file_and_parameter(self, tmp_path, case):
+        path = tmp_path / "e.ckpt"
+        save_checkpoint(build_model(1, 2, seed=22), path)
+        header, body = path.read_bytes().split(b"\nEND\n", 1)
+        lines = header.decode().splitlines()
+        last = lines[-1].split()
+        if case == "missing":
+            lines.pop()
+        elif case == "repeated":
+            lines.append(lines[-1])
+        elif case == "unknown":
+            lines[-1] = lines[-1].replace("branch0", "branch9")
+        elif case == "gap":
+            lines[-1] = " ".join(last[:-1] + [str(int(last[-1]) + 8)])
+        elif case == "short":
+            body = body[:-100]
+        else:
+            body += bytes(16)
+        path.write_bytes("\n".join(lines).encode() + b"\nEND\n" + body)
+        with pytest.raises(ContractError, match="e.ckpt: " + LAYOUT_FAULTS[case]):
             load_checkpoint(path)

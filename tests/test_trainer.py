@@ -23,6 +23,7 @@ from msdalab.trainer import (
     evaluate,
     render_runs_csv,
     render_summary_csv,
+    run_protocol,
     run_protocol_suite,
     train_multi_source,
     train_single_source,
@@ -262,6 +263,11 @@ class TestProtocols:
         model = build_model(2, 2, seed=0)
         report = train_multi_source(model, sources, target, tiny_hp(epochs=12, batch=16))
         assert report.per_epoch[-1].cl < report.per_epoch[0].cl
+
+    def test_run_protocol_rejects_unknown_protocol(self):
+        target, test = unlabeled_target()
+        with pytest.raises(ContractError, match="unknown protocol 'joint'"):
+            run_protocol("joint", [domain("Ab", 40)], target, test, tiny_hp())
 
 
 @pytest.fixture(scope="module")
