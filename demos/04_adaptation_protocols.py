@@ -2,8 +2,11 @@
 
 Trains three protocols toward one held-out target domain and prints the
 resulting target accuracies side by side. Uses smaller datasets and fewer
-epochs than the defaults so it finishes in about a minute; expect the
-multi-source row to lead, but with more spread than the full benchmark.
+epochs than the defaults so it finishes in about a minute. This budget
+does not separate the protocols: at these settings all three rows print
+the same target accuracy (51.25%). Whether multi-source adaptation leads
+is the open question of ROADMAP items 3 and 4, which need all six
+targets and several seeds to answer.
 
 Run:  python demos/04_adaptation_protocols.py
 """

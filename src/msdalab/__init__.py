@@ -24,7 +24,6 @@ from .losses import (
     covariance,
     cross_entropy,
     feature_discrepancy,
-    gram,
     mmd_squared,
     total_loss,
 )
@@ -45,7 +44,7 @@ __all__ = [
     "Tensor", "backward", "finite_difference_check", "no_grad",
     "DomainSpec", "LabeledSet", "UnlabeledSet", "default_roster", "generate_domain", "split",
     "KernelConfig", "LossWeights", "class_discrepancy", "coral_loss", "covariance",
-    "cross_entropy", "feature_discrepancy", "gram", "mmd_squared", "total_loss",
+    "cross_entropy", "feature_discrepancy", "mmd_squared", "total_loss",
     "BranchOutput", "MsdaModel", "build_model", "forward_all", "forward_branch", "predict",
     "HyperParams", "TrainReport", "evaluate", "run_protocol_suite",
     "train_multi_source", "train_single_source", "train_source_combined",

@@ -194,22 +194,9 @@ def backward(loss: Tensor) -> None:
         raise ContractError("loss does not require grad; nothing to differentiate")
 
     records = _TAPE.records
-    by_out = {id(r.out): i for i, r in enumerate(records)}
-    if id(loss) not in by_out:
+    last = next((i for i in range(len(records) - 1, -1, -1) if records[i].out is loss), None)
+    if last is None:
         raise ContractError("loss was not produced by tracked operations on the active tape")
-
-    # ancestor records of the loss, in tape (topological) order
-    reach: set[int] = set()
-    stack = [by_out[id(loss)]]
-    while stack:
-        i = stack.pop()
-        if i in reach:
-            continue
-        reach.add(i)
-        for p in records[i].parents:
-            j = by_out.get(id(p))
-            if j is not None and j not in reach:
-                stack.append(j)
 
     adjoint: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
     holders: dict[int, Tensor] = {id(loss): loss}
@@ -229,8 +216,9 @@ def backward(loss: Tensor) -> None:
         else:
             adjoint[key] = prev + g
 
-    for i in sorted(reach, reverse=True):
-        rec = records[i]
+    # tape order is topological: walking it backwards from the loss reaches
+    # every node after all its consumers; records no adjoint reached are skipped
+    for rec in reversed(records[: last + 1]):
         g = adjoint.pop(id(rec.out), None)
         if g is None:
             continue

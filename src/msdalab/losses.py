@@ -7,7 +7,9 @@ class-discrepancy penalty between the per-source classifier outputs on
 target batches. All of them are differentiable through the autodiff
 engine, including the median-heuristic kernel bandwidth, which is selected
 as an order statistic of the tracked pairwise-distance matrix so gradient
-checks hold for the complete objective.
+checks hold for the complete objective. Each MMD builds one distance matrix
+over the stacked source and target rows; it gives the bandwidth and every
+kernel block.
 """
 
 from __future__ import annotations
@@ -99,17 +101,15 @@ def _check_batch(t: Tensor, what: str, min_rows: int = 1) -> None:
         raise DegenerateBatchError(f"{what} needs at least {min_rows} rows, got {t.shape[0]}")
 
 
-def median_sq_dist_bandwidth(x: Tensor, y: Tensor) -> Tensor:
-    """Median squared pairwise distance over the concatenation of two batches.
+def median_sq_dist_bandwidth(d: Tensor) -> Tensor:
+    """Median of the distinct-pair (i < j) entries of a square distance matrix.
 
-    Uses distinct pairs (i < j). The selection index is decided on values,
-    then the selected entries are read back through the graph, so the
-    result stays differentiable wherever the median pair is locally stable.
-    Falls back to a constant 1.0 when the median is zero.
+    The selection index is decided on values, then the selected entries are
+    read back through the graph, so the result stays differentiable wherever
+    the median pair is locally stable. Falls back to a constant 1.0 when the
+    median is zero.
     """
-    z = concat_rows(x, y)
-    n = z.shape[0]
-    d = pairwise_sq_dists(z, z)
+    n = d.shape[0]
     iu, ju = np.triu_indices(n, k=1)
     pairs = take(d, iu * n + ju)
     order = np.argsort(pairs.data, kind="stable")
@@ -124,61 +124,36 @@ def median_sq_dist_bandwidth(x: Tensor, y: Tensor) -> Tensor:
     return sigma_sq
 
 
-def _resolve_bandwidth(x: Tensor, y: Tensor, cfg: KernelConfig) -> Tensor:
-    if cfg.base_bandwidth is not None:
-        return as_scalar(cfg.base_bandwidth)
-    return median_sq_dist_bandwidth(x, y)
-
-
-def _gram_given_bandwidth(x: Tensor, y: Tensor, sigma_sq: Tensor, multipliers) -> Tensor:
-    d = pairwise_sq_dists(x, y)
-    acc = None
-    for m in multipliers:
-        scale = mul(reciprocal(mul(sigma_sq, float(m))), -1.0)
-        term = texp(mul(d, scale))
-        acc = term if acc is None else acc + term
-    return mul(acc, 1.0 / len(multipliers))
-
-
-def gram(x: Tensor, y: Tensor, cfg: KernelConfig = KernelConfig()) -> Tensor:
-    """Kernel matrix between the rows of two batches.
-
-    Entry (i, j) is the mean over multipliers m of
-    exp(-||x_i - y_j||^2 / (m * sigma^2)).
-    """
-    x, y = _as_tensor(x), _as_tensor(y)
-    _check_batch(x, "x")
-    _check_batch(y, "y")
-    if x.shape[1] != y.shape[1]:
-        raise ShapeError(f"feature dimensions disagree: {x.shape} vs {y.shape}")
-    sigma_sq = _resolve_bandwidth(x, y, cfg)
-    return _gram_given_bandwidth(x, y, sigma_sq, cfg.bandwidth_multipliers)
-
-
 def mmd_squared(source: Tensor, target: Tensor, cfg: KernelConfig = KernelConfig()) -> Tensor:
     """Biased (all pairs, including self-pairs) squared-MMD estimate.
 
-    One bandwidth, resolved over the concatenated batches, is shared by the
-    source-source, source-target and target-target kernel blocks, which
-    keeps the statistic an exact squared RKHS distance and therefore
-    non-negative. Passing the same tensor for both arguments yields 0.0
-    exactly.
+    One distance matrix over the stacked rows z = [source; target] gives
+    both the bandwidth and the kernel matrix K, so the source-source,
+    source-target and target-target blocks share one bandwidth; this keeps
+    the statistic an exact squared RKHS distance and therefore
+    non-negative. The estimate is w^T K w with w = 1/n on source rows and
+    -1/m on target rows. Passing the same tensor for both arguments yields
+    0.0 exactly.
     """
     source, target = _as_tensor(source), _as_tensor(target)
     _check_batch(source, "source")
     _check_batch(target, "target")
     if source.shape[1] != target.shape[1]:
         raise ShapeError(f"feature dimensions disagree: {source.shape} vs {target.shape}")
-    n = source.shape[0]
-    m = target.shape[0]
-    sigma_sq = _resolve_bandwidth(source, target, cfg)
-    mults = cfg.bandwidth_multipliers
-    k_ss = _gram_given_bandwidth(source, source, sigma_sq, mults)
-    k_st = _gram_given_bandwidth(source, target, sigma_sq, mults)
-    k_tt = _gram_given_bandwidth(target, target, sigma_sq, mults)
-    same = mul(tsum(k_ss), 1.0 / (n * n)) + mul(tsum(k_tt), 1.0 / (m * m))
-    cross = mul(tsum(k_st), 2.0 / (n * m))
-    return same - cross
+    if source is target:  # every weight cancels; kept tracked so backward still reaches it
+        return mul(tsum(source), 0.0)
+    n, m = source.shape[0], target.shape[0]
+    z = concat_rows(source, target)
+    d = pairwise_sq_dists(z, z)
+    if cfg.base_bandwidth is None:
+        sigma_sq = median_sq_dist_bandwidth(d)
+    else:
+        sigma_sq = as_scalar(cfg.base_bandwidth)
+    scaled = mul(d, reciprocal(sigma_sq))
+    terms = [texp(mul(scaled, -1.0 / mult)) for mult in cfg.bandwidth_multipliers]
+    k = mul(sum(terms[1:], terms[0]), 1.0 / len(terms))
+    w = np.concatenate([np.full(n, 1.0 / n), np.full(m, -1.0 / m)])
+    return tsum(mul(k, Tensor(np.outer(w, w))))
 
 
 def covariance(features: Tensor) -> Tensor:

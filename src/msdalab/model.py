@@ -228,6 +228,7 @@ def predict(model: MsdaModel, x: Tensor):
 #   <binary parameter data in header order>
 
 _MAGIC = "MSDACKPT 1"
+_META_ARITY = {"num_sources": 1, "num_classes": 1, "image": 3, "center_input": 1}
 
 
 def save_checkpoint(model: MsdaModel, path) -> None:
@@ -252,27 +253,35 @@ def save_checkpoint(model: MsdaModel, path) -> None:
 
 
 def load_checkpoint(path) -> MsdaModel:
-    """Read a file written by ``save_checkpoint``. A missing, repeated or unknown
-    parameter, an offset gap and a short or long body raise ContractError."""
+    """Read a file written by ``save_checkpoint``. A malformed or missing header
+    line, a missing, repeated or unknown parameter, an offset gap and a short
+    or long body raise ContractError. Header lines with other keys are ignored."""
     header, body = read_header(path, _MAGIC)
     meta = {}
     entries = []
     for line in header:
         fields = line.split()
-        if fields[0] == "param":
-            name = fields[1]
-            ndim = int(fields[2])
-            dims = tuple(int(v) for v in fields[3 : 3 + ndim])
-            offset = int(fields[3 + ndim])
-            entries.append((name, dims, offset))
-        else:
-            meta[fields[0]] = fields[1:]
+        try:
+            if fields[0] == "param":  # param <name> <ndim> <d0> ... <offset>
+                values = [int(v) for v in fields[2:]]
+                if not 0 <= values[0] == len(values) - 2:
+                    raise ValueError
+                entries.append((fields[1], tuple(values[1:-1]), values[-1]))
+            elif fields[0] in _META_ARITY:
+                meta[fields[0]] = [int(v) for v in fields[1:]]
+                if len(meta[fields[0]]) != _META_ARITY[fields[0]]:
+                    raise ValueError
+        except (IndexError, ValueError):
+            raise ContractError(f"{path}: malformed header line {line!r}") from None
+    for key in ("num_sources", "num_classes", "image"):
+        if key not in meta:
+            raise ContractError(f"{path}: header has no {key!r} line")
     model = build_model(
-        int(meta["num_sources"][0]),
-        int(meta["num_classes"][0]),
-        tuple(int(v) for v in meta["image"]),
+        meta["num_sources"][0],
+        meta["num_classes"][0],
+        tuple(meta["image"]),
         seed=0,
-        center_input=bool(int(meta.get("center_input", ["1"])[0])),
+        center_input=bool(meta.get("center_input", [1])[0]),
     )
     loaded = set()
     end = 0

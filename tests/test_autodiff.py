@@ -310,6 +310,15 @@ class TestBackward:
         np.testing.assert_array_equal(h.grad, 4.0 * h.data)
         np.testing.assert_array_equal(first, 2.0 * h.data)
 
+    def test_backward_from_intermediate_leaves_later_nodes_untouched(self):
+        x = ad.parameter(rand((4,), 21))
+        mid = ad.tsum(ad.mul(x, x))
+        later = ad.mul(ad.texp(x), 3.0)
+        after = ad.tsum(later)
+        backward(mid)
+        np.testing.assert_array_equal(x.grad, 2.0 * x.data)
+        assert later.grad is None and after.grad is None
+
     def test_forward_deterministic(self):
         x = Tensor(rand((6, 6), 13))
         k = Tensor(rand((2, 1, 3, 3), 14))

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from msdalab import autodiff as ad
+from msdalab import losses
 from msdalab.autodiff import ContractError, ShapeError, Tensor, finite_difference_check, softmax_rows
 from msdalab.losses import (
     DegenerateBatchError,
@@ -22,7 +23,6 @@ from msdalab.losses import (
     covariance,
     cross_entropy,
     feature_discrepancy,
-    gram,
     mmd_squared,
     total_loss,
 )
@@ -74,31 +74,10 @@ def two_pass_covariance(x: np.ndarray) -> np.ndarray:
     return centered.T @ centered / (x.shape[0] - 1)
 
 
-# --- gram -------------------------------------------------------------------
+# --- kernel config / mmd ---------------------------------------------------
 
 
-class TestGram:
-    def test_diagonal_is_one_for_self_gram(self):
-        x = Tensor(rand((6, 4), 0))
-        for cfg in (FIXED, KernelConfig(bandwidth_multipliers=(0.7,))):
-            np.testing.assert_array_equal(np.diag(gram(x, x, cfg).data), np.ones(6))
-
-    def test_two_identical_points(self):
-        out = gram(Tensor([[0.3, -0.2]]), Tensor([[0.3, -0.2]]), KernelConfig())
-        np.testing.assert_array_equal(out.data, [[1.0]])
-
-    def test_hand_value_exp_minus_one(self):
-        out = gram(Tensor([[0.0]]), Tensor([[1.0]]), FIXED)
-        np.testing.assert_allclose(out.data, [[math.exp(-1.0)]], rtol=1e-15)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ShapeError):
-            gram(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 4))), FIXED)
-
-    def test_empty_input(self):
-        with pytest.raises(DegenerateBatchError):
-            gram(Tensor(np.zeros((0, 3))), Tensor(np.zeros((2, 3))), FIXED)
-
+class TestKernelConfig:
     def test_multiplier_validation(self):
         with pytest.raises(ContractError):
             KernelConfig(bandwidth_multipliers=())
@@ -143,6 +122,29 @@ class TestMmd:
     def test_empty_batch(self):
         with pytest.raises(DegenerateBatchError):
             mmd_squared(Tensor(np.zeros((0, 2))), Tensor(np.zeros((3, 2))))
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(ShapeError):
+            mmd_squared(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 4))), FIXED)
+
+    def test_same_single_point_in_distinct_tensors_is_exactly_zero(self):
+        # the only pair is at distance 0, so the median bandwidth falls back to 1
+        got = mmd_squared(Tensor([[0.3, -0.2]]), Tensor([[0.3, -0.2]]), KernelConfig())
+        assert got.item() == 0.0
+
+    def test_one_distance_matrix_per_call(self, monkeypatch):
+        calls = []
+        real = losses.pairwise_sq_dists
+
+        def counting(a, b):
+            calls.append((a.shape, b.shape))
+            return real(a, b)
+
+        monkeypatch.setattr(losses, "pairwise_sq_dists", counting)
+        for cfg in (KernelConfig(), FIXED):
+            calls.clear()
+            mmd_squared(Tensor(rand((4, 3), 11)), Tensor(rand((5, 3), 12)), cfg)
+            assert calls == [((9, 3), (9, 3))]
 
     def test_gradient_with_median_heuristic(self):
         x = ad.parameter(rand((6, 3), 4))

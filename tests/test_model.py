@@ -309,6 +309,19 @@ LAYOUT_FAULTS = {
     "long": r"16 bytes follow the last parameter 'branch0\.cls\.bias'",
 }
 
+# a header edit -> the ContractError message it must raise
+HEADER_FAULTS = {
+    "param_without_dim": (lambda ls: ls[:-1] + [" ".join(ls[-1].split()[:3] + ls[-1].split()[-1:])],
+                          r"malformed header line 'param branch0\.cls\.bias 1 \d+'"),
+    "num_sources_without_value": (lambda ls: [l if l != "num_sources 1" else "num_sources" for l in ls],
+                                  r"malformed header line 'num_sources'"),
+    "blank_line": (lambda ls: ls[:1] + [""] + ls[1:], r"malformed header line ''"),
+    "num_classes_word": (lambda ls: [l.replace("num_classes 2", "num_classes two") for l in ls],
+                         r"malformed header line 'num_classes two'"),
+    "no_num_sources": (lambda ls: [l for l in ls if not l.startswith("num_sources")],
+                       r"header has no 'num_sources' line"),
+}
+
 
 class TestCheckpoint:
     def test_round_trip_bitwise(self, tmp_path):
@@ -384,4 +397,15 @@ class TestCheckpoint:
             body += bytes(16)
         path.write_bytes("\n".join(lines).encode() + b"\nEND\n" + body)
         with pytest.raises(ContractError, match="e.ckpt: " + LAYOUT_FAULTS[case]):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("case", HEADER_FAULTS)
+    def test_malformed_header_names_file_and_line(self, tmp_path, case):
+        path = tmp_path / "f.ckpt"
+        save_checkpoint(build_model(1, 2, seed=23), path)
+        header, body = path.read_bytes().split(b"\nEND\n", 1)
+        edit, message = HEADER_FAULTS[case]
+        lines = edit(header.decode().splitlines())
+        path.write_bytes("\n".join(lines).encode() + b"\nEND\n" + body)
+        with pytest.raises(ContractError, match="f.ckpt: " + message):
             load_checkpoint(path)
