@@ -132,6 +132,14 @@ class TestMmd:
         got = mmd_squared(Tensor([[0.3, -0.2]]), Tensor([[0.3, -0.2]]), KernelConfig())
         assert got.item() == 0.0
 
+    def test_equal_points_have_unit_kernel_under_every_bandwidth(self):
+        # every entry of K is exp(0) = 1 exactly, so 1 + 1 - 2 leaves no rounding
+        x = rand((6, 4), 0)
+        for cfg in (FIXED, KernelConfig(bandwidth_multipliers=(0.7,)), KernelConfig()):
+            for row in x:
+                got = mmd_squared(Tensor(row[None, :]), Tensor(row[None, :].copy()), cfg)
+                assert got.item() == 0.0
+
     def test_one_distance_matrix_per_call(self, monkeypatch):
         calls = []
         real = losses.pairwise_sq_dists
