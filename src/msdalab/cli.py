@@ -39,6 +39,7 @@ from .losses import KernelConfig, LossWeights
 from .model import load_checkpoint, save_checkpoint, predict
 from .trainer import (
     PROTOCOLS,
+    RUN_HEADER,
     HyperParams,
     render_runs_csv,
     render_summary_csv,
@@ -79,8 +80,8 @@ class RunConfig:
                 raise UsageError(f"source {s!r} not in roster {names}")
         if self.target in self.sources:
             raise UsageError(f"target {self.target!r} cannot also be a source")
-        if self.anchor is not None and self.anchor not in names:
-            raise UsageError(f"anchor {self.anchor!r} not in roster")
+        if self.anchor is not None and (self.anchor not in names or self.anchor == self.target):
+            raise UsageError(f"anchor {self.anchor!r} must be a non-target roster domain")
         if self.n_per_domain < 10 or self.n_per_domain % 2:
             raise UsageError("n_per_domain must be even and >= 10")
         if self.n_images < 0:
@@ -116,8 +117,8 @@ def parse_config(text: str) -> RunConfig:
     kernel_kw: dict = {}
     cfg_kw: dict = {}
 
-    for key, raw in entries.items():
-        try:
+    try:
+        for key, raw in entries.items():
             if key.startswith("roster."):
                 _, name, fieldname = key.split(".", 2)
                 if fieldname not in _ROSTER_FIELDS:
@@ -150,14 +151,15 @@ def parse_config(text: str) -> RunConfig:
                 cfg_kw[key] = int(raw)
             else:
                 raise UsageError(f"unknown config key {key!r}")
-        except ValueError as exc:
-            if isinstance(exc, UsageError):
-                raise
-            raise UsageError(f"bad value for {key}: {raw!r} ({exc})") from exc
+        key = "hyper"
+        hyper = HyperParams(
+            weights=LossWeights(**weights_kw), kernel=KernelConfig(**kernel_kw), **hyper_kw
+        )
+    except ValueError as exc:
+        if isinstance(exc, UsageError):
+            raise
+        raise UsageError(f"bad value for {key}: {exc}") from exc
 
-    hyper = HyperParams(
-        weights=LossWeights(**weights_kw), kernel=KernelConfig(**kernel_kw), **hyper_kw
-    )
     cfg = RunConfig(roster=[roster[n] for n in order], hyper=hyper, **cfg_kw)
     return cfg.validate()
 
@@ -232,18 +234,20 @@ def cmd_generate(cfg: RunConfig) -> int:
         ds = generate_domain(spec, cfg.n_per_domain, cfg.hyper.seed)
         path = out / f"{spec.name}.msda"
         write_dataset(ds, path)
-        lines.append(f"{spec.name} {cfg.n_per_domain} {cfg.hyper.seed} {_sha256(path)}")
+        fields = " ".join(repr(getattr(spec, f)) for f in _ROSTER_FIELDS)
+        lines.append(f"{spec.name} {cfg.n_per_domain} {cfg.hyper.seed} {_sha256(path)} {fields}")
         print(f"wrote {path}")
     _manifest_path(cfg).write_text("\n".join(lines) + "\n", encoding="ascii")
     print(f"wrote {_manifest_path(cfg)}")
     return 0
 
 
-_MANIFEST_FIELDS = ("name", "n", "seed", "sha256")
+_MANIFEST_FIELDS = ("name", "n", "seed", "sha256") + _ROSTER_FIELDS
 
 
 def _load_verified(cfg: RunConfig, name: str):
-    """Read a generated dataset whose manifest entry matches ``cfg`` and its sha256."""
+    """Read a generated dataset whose manifest entry matches ``cfg`` (``n``, ``seed``
+    and the roster fields) and its sha256."""
     manifest = _manifest_path(cfg)
     if not manifest.exists():
         raise UsageError(f"no manifest at {manifest}; run generate first")
@@ -253,18 +257,28 @@ def _load_verified(cfg: RunConfig, name: str):
         if len(parts) < len(_MANIFEST_FIELDS):
             raise UsageError(f"{manifest}: entry {line.strip()!r} has no "
                              f"{_MANIFEST_FIELDS[len(parts)]} field")
-        entries[parts[0]] = parts
+        entries[parts[0]] = dict(zip(_MANIFEST_FIELDS, parts))
     path = _dataset_dir(cfg) / f"{name}.msda"
     if name not in entries or not path.exists():
         raise UsageError(f"dataset {name!r} not found under {_dataset_dir(cfg)}")
-    _, n, seed, checksum = entries[name][:4]
-    for fieldname, got, want in (("n", n, cfg.n_per_domain), ("seed", seed, cfg.hyper.seed)):
-        if got != str(want):
+    entry = entries[name]
+    spec = next(s for s in cfg.roster if s.name == name)
+    wanted = dict(n=cfg.n_per_domain, seed=cfg.hyper.seed,
+                  **{f: getattr(spec, f) for f in _ROSTER_FIELDS})
+    for fieldname, want in wanted.items():
+        got = entry[fieldname]
+        if got != repr(want):
             raise UsageError(f"{manifest}: {name} was generated with {fieldname} {got}, "
                              f"but the config asks for {want}; run generate again")
-    if _sha256(path) != checksum:
+    if _sha256(path) != entry["sha256"]:
         raise RuntimeError(f"checksum mismatch for {path}; refusing to use a tampered dataset")
     return read_dataset(path)
+
+
+def _target_split(cfg: RunConfig) -> tuple:
+    """The verified target's unlabeled train split and its labeled test split."""
+    train, _, test = split(_load_verified(cfg, cfg.target), cfg.hyper.seed, stratified=False)
+    return strip_labels(train), test
 
 
 def cmd_train(cfg: RunConfig) -> int:
@@ -273,17 +287,13 @@ def cmd_train(cfg: RunConfig) -> int:
     if cfg.protocol in ("combined", "multi") and len(cfg.sources) < 2:
         raise UsageError(f"protocol={cfg.protocol} needs at least two sources")
     sources = [_load_verified(cfg, name) for name in cfg.sources]
-    target = _load_verified(cfg, cfg.target)
-    target_train, _, target_test = split(target, cfg.hyper.seed, stratified=False)
-    model, report = run_protocol(cfg.protocol, sources, strip_labels(target_train),
-                                 target_test, cfg.hyper)
+    target_train, target_test = _target_split(cfg)
+    model, report = run_protocol(cfg.protocol, sources, target_train, target_test, cfg.hyper)
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     stem = f"{cfg.protocol}_{cfg.target}"
     report_path = out / f"report_{stem}.csv"
-    report_path.write_text(
-        "protocol,target,sources,accuracy,seed\n" + report.run_row() + "\n", encoding="ascii"
-    )
+    report_path.write_text(f"{RUN_HEADER}\n{report.run_row()}\n", encoding="ascii")
     epochs_path = out / f"epochs_{stem}.csv"
     epochs_path.write_text("\n".join(report.epoch_rows()) + "\n", encoding="ascii")
     ckpt_path = out / f"checkpoint_{stem}.ckpt"
@@ -298,9 +308,9 @@ def cmd_train(cfg: RunConfig) -> int:
 
 
 def cmd_suite(cfg: RunConfig) -> int:
-    result = run_protocol_suite(
-        cfg.roster, cfg.target, cfg.hyper, n_per_domain=cfg.n_per_domain, anchor=cfg.anchor
-    )
+    sources = {s.name: _load_verified(cfg, s.name) for s in cfg.roster if s.name != cfg.target}
+    target_train, target_test = _target_split(cfg)
+    result = run_protocol_suite(sources, target_train, target_test, cfg.hyper, cfg.anchor)
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     runs_path = out / f"suite_runs_{cfg.target}.csv"
@@ -336,8 +346,7 @@ def cmd_cam(cfg: RunConfig, checkpoint: str, n_images: int | None) -> int:
     model = load_checkpoint(ckpt)
     if n_images is not None:
         cfg = replace(cfg, n_images=n_images)
-    target = _load_verified(cfg, cfg.target)
-    _, _, target_test = split(target, cfg.hyper.seed, stratified=False)
+    _, target_test = _target_split(cfg)
     _export_cams(cfg, model, target_test)
     return 0
 

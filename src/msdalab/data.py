@@ -304,7 +304,11 @@ def read_header(path, magic: str) -> tuple[list[str], bytes]:
     end = raw.find(b"\nEND\n")
     if end < 0:
         raise ContractError(f"{path}: header has no END line")
-    header = raw[:end].decode("ascii").splitlines()
+    try:
+        header = raw[:end].decode("ascii").splitlines()
+    except UnicodeDecodeError as exc:
+        raise ContractError(f"{path}: header byte {exc.start} is {raw[exc.start]:#04x}, "
+                            "not ASCII") from None
     first = header[0] if header else ""
     if first != magic:
         raise ContractError(f"{path}: bad magic {first!r}, expected {magic!r}")

@@ -53,9 +53,7 @@ from .data import (
     UnlabeledSet,
     combine_sources,
     epoch_permutation,
-    generate_domain,
     split,
-    strip_labels,
 )
 from .losses import (
     KernelConfig,
@@ -101,6 +99,9 @@ class EpochStats(NamedTuple):
     val_accuracy: float
 
 
+RUN_HEADER = "protocol,target,sources,accuracy,seed"
+
+
 @dataclass
 class TrainReport:
     protocol: str  # single | combined | multi
@@ -109,6 +110,11 @@ class TrainReport:
     per_epoch: list
     test_accuracy: float | None
     hyper: HyperParams
+
+    @property
+    def method(self) -> str:
+        """The suite's name for the run: single, or the protocol and its source count."""
+        return "single" if self.protocol == "single" else f"{self.protocol}{len(self.source_names)}"
 
     def run_row(self) -> str:
         acc = -1.0 if self.test_accuracy is None else self.test_accuracy
@@ -297,20 +303,11 @@ def train_source_combined(model: MsdaModel, sources, target_train: UnlabeledSet,
 # protocol suite
 
 
-class SuiteRun(NamedTuple):
-    protocol: str  # single | combined | multi
-    method: str    # single | combined2 | combined3 | multi2 | multi3
-    target: str
-    sources: tuple
-    accuracy: float
-    seed: int
-
-
 @dataclass
 class SuiteResult:
     target: str
     anchor: str
-    runs: list
+    runs: list  # one TrainReport per run
     method_averages: dict
 
 
@@ -337,58 +334,40 @@ def run_protocol(protocol: str, source_sets, target_train: UnlabeledSet,
     return model, report
 
 
-def run_protocol_suite(roster, target_name: str, hp: HyperParams,
-                       n_per_domain: int = 800, anchor: str | None = None) -> SuiteResult:
+def run_protocol_suite(sources: dict, target_train: UnlabeledSet, target_test: LabeledSet,
+                       hp: HyperParams, anchor: str | None = None) -> SuiteResult:
     """Anchored enumeration of all protocols against one fixed target.
 
-    With a roster of six and one target this is 1 single run, 4 + 6
-    source-combined runs (anchor paired with each other domain, anchor plus
-    each pair), and the same 4 + 6 in multi mode: 21 runs.
+    ``sources`` maps each non-target domain name to its set, in roster
+    order. With five of them this is 1 single run, 4 + 6 source-combined
+    runs (anchor paired with each other domain, anchor plus each pair),
+    and the same 4 + 6 in multi mode: 21 runs.
     """
-    names = [s.name for s in roster]
-    if len(names) != len(set(names)):
-        raise ContractError("roster names must be unique")
-    if len(roster) < 4:
-        raise ContractError(f"suite needs a roster of >= 4 domains, got {len(roster)}")
-    if target_name not in names:
-        raise ContractError(f"target {target_name!r} not in roster {names}")
-    others = [n for n in names if n != target_name]
-    anchor = anchor or others[0]
-    if anchor not in others:
+    if len(sources) < 3:
+        raise ContractError(f"suite needs >= 3 non-target domains, got {len(sources)}")
+    anchor = anchor or next(iter(sources))
+    if anchor not in sources:
         raise ContractError(f"anchor {anchor!r} must be a non-target roster domain")
 
-    by_name = {s.name: s for s in roster}
-    datasets = {n: generate_domain(by_name[n], n_per_domain, hp.seed) for n in names}
-    target_train_l, _, target_test = split(datasets[target_name], hp.seed, stratified=False)
-    target_train = strip_labels(target_train_l)
-
-    rest = [n for n in others if n != anchor]
-    pairs = [(anchor, r) for r in rest]
-    triples = [(anchor, a, b) for a, b in combinations(rest, 2)]
-
-    jobs = [("single", "single", (anchor,))]
-    jobs += [("combined", f"combined{len(c)}", c) for c in pairs + triples]
-    jobs += [("multi", f"multi{len(c)}", c) for c in pairs + triples]
-
+    rest = [n for n in sources if n != anchor]
+    combos = [(anchor, r) for r in rest] + [(anchor, a, b) for a, b in combinations(rest, 2)]
+    jobs = [("single", (anchor,))] + [(p, c) for p in ("combined", "multi") for c in combos]
     runs = []
-    for protocol, method, combo in jobs:
-        _, report = run_protocol(protocol, [datasets[n] for n in combo],
-                                 target_train, target_test, hp)
-        runs.append(SuiteRun(protocol, method, target_name, combo,
-                             report.test_accuracy, hp.seed))
+    for protocol, combo in jobs:
+        _, report = run_protocol(protocol, [sources[n] for n in combo], target_train, target_test, hp)
+        runs.append(report)
 
     averages = {}
     for method in METHOD_ORDER:
-        accs = [r.accuracy for r in runs if r.method == method]
+        accs = [r.test_accuracy for r in runs if r.method == method]
         if accs:
             averages[method] = float(np.mean(accs))
-    return SuiteResult(target=target_name, anchor=anchor, runs=runs, method_averages=averages)
+    return SuiteResult(target=target_train.domain_name, anchor=anchor, runs=runs,
+                       method_averages=averages)
 
 
 def render_runs_csv(result: SuiteResult) -> str:
-    lines = ["protocol,target,sources,accuracy,seed"]
-    for r in result.runs:
-        lines.append(f"{r.protocol},{r.target},{'+'.join(r.sources)},{r.accuracy * 100:.2f},{r.seed}")
+    lines = [RUN_HEADER] + [r.run_row() for r in result.runs]
     for method in METHOD_ORDER:
         if method in result.method_averages:
             avg = result.method_averages[method]

@@ -77,12 +77,16 @@ class TestConfig:
             parse_config("no_such_key = 1\n")
 
     def test_bad_value_rejected(self):
-        with pytest.raises(UsageError):
-            parse_config("hyper.lr = fast\n")
+        for text in ("hyper.lr = fast\n", "hyper.lr = -1\n", "hyper.batch = 1\n",
+                     "hyper.lambda = -1\n", "hyper.kernel.bandwidth = 0\n"):
+            with pytest.raises(UsageError, match="bad value for hyper"):
+                parse_config(text)
 
     def test_target_among_sources_rejected(self):
         with pytest.raises(UsageError):
             parse_config("target = Ab\nsources = Ab,Bu\n")
+        with pytest.raises(UsageError, match="anchor 'Os' must be a non-target roster domain"):
+            parse_config("target = Os\nanchor = Os\n")
 
     def test_unknown_source_rejected(self):
         with pytest.raises(UsageError):
@@ -160,6 +164,22 @@ class TestMainExitCodes:
         assert main(["cam", "--config", str(path), "--checkpoint", str(ckpt)]) == 1
         assert "no manifest at" in capsys.readouterr().err
 
+    def test_suite_before_generate_is_one(self, tmp_path, capsys):
+        path = write_config(tmp_path)
+        assert main(["suite", "--config", str(path)]) == 1
+        manifest = tmp_path / "out" / "datasets" / "manifest.txt"
+        assert f"no manifest at {manifest}" in capsys.readouterr().err
+
+    def test_four_field_manifest_line_is_one(self, tmp_path, capsys):
+        path = write_config(tmp_path)
+        assert main(["generate", "--config", str(path)]) == 0
+        manifest = tmp_path / "out" / "datasets" / "manifest.txt"
+        lines = manifest.read_text().splitlines()
+        lines[1:] = [" ".join(line.split()[:4]) for line in lines[1:]]
+        manifest.write_text("\n".join(lines) + "\n")
+        assert main(["train", "--config", str(path)]) == 1
+        assert "has no background_level field" in capsys.readouterr().err
+
     def test_short_manifest_line_is_one(self, tmp_path, capsys):
         path = write_config(tmp_path)
         assert main(["generate", "--config", str(path)]) == 0
@@ -170,7 +190,8 @@ class TestMainExitCodes:
         assert main(["train", "--config", str(path)]) == 1
         assert "entry 'Ab 60' has no seed field" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key, field, value", [("n_per_domain", "n", 40), ("hyper.seed", "seed", 5)])
+    @pytest.mark.parametrize("key, field, value", [("n_per_domain", "n", 40), ("hyper.seed", "seed", 5),
+                                                   ("roster.Ab.glyph_contrast", "glyph_contrast", 0.3)])
     def test_manifest_from_another_config_is_one(self, tmp_path, capsys, key, field, value):
         assert main(["generate", "--config", str(write_config(tmp_path))]) == 0
         path = write_config(tmp_path, **{key: value})
@@ -270,6 +291,7 @@ class TestSuiteCommand:
             tmp_path, **{"n_per_domain": 40, "hyper.epochs": 1,
                          "hyper.lambda": 0.05, "hyper.gamma": 0.05}
         )
+        assert main(["generate", "--config", str(path)]) == 0
         assert main(["suite", "--config", str(path)]) == 0
         out = tmp_path / "out"
         runs = (out / "suite_runs_Os.csv").read_text().splitlines()
@@ -288,3 +310,11 @@ class TestSuiteCommand:
         for line in summary[1:]:
             method, avg = line.split(",")
             assert abs(float(avg) - np.mean(per_method[method])) <= 0.005
+        # train runs the same path: its report row is the suite's row for that run
+        path = write_config(
+            tmp_path, **{"n_per_domain": 40, "hyper.epochs": 1, "hyper.lambda": 0.05,
+                         "hyper.gamma": 0.05, "protocol": "multi", "sources": "Ab,Bu"}
+        )
+        assert main(["train", "--config", str(path)]) == 0
+        suite_row = next(line for line in runs if line.startswith("multi,Os,Ab+Bu,"))
+        assert (out / "report_multi_Os.csv").read_text().splitlines()[1] == suite_row

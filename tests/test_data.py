@@ -239,6 +239,12 @@ class TestMalformedDatasetFiles:
         with pytest.raises(ContractError, match=f"ab.msda.*no '{key}' line"):
             read_dataset(path)
 
+    def test_non_ascii_header_byte(self, written):
+        path, header, body = written
+        path.write_bytes(header.replace(b"name Ab", b"name A\xe9") + body)
+        with pytest.raises(ContractError, match="ab.msda: header byte 17 is 0xe9, not ASCII"):
+            read_dataset(path)
+
     def test_short_body(self, written):
         path, header, body = written
         path.write_bytes(header + body[:-100])

@@ -320,6 +320,8 @@ HEADER_FAULTS = {
                          r"malformed header line 'num_classes two'"),
     "no_num_sources": (lambda ls: [l for l in ls if not l.startswith("num_sources")],
                        r"header has no 'num_sources' line"),
+    "non_ascii_byte": (lambda ls: [l.replace("num_classes", "num_cl\u00e9sses") for l in ls],
+                       r"header byte \d+ is 0xc3, not ASCII"),
 }
 
 

@@ -12,13 +12,13 @@ import pytest
 from msdalab import autodiff as ad
 from msdalab import trainer
 from msdalab.autodiff import ContractError, Tensor
+from msdalab.cli import UsageError, parse_config
 from msdalab.data import LabeledSet, default_roster, generate_domain, split, strip_labels
 from msdalab.losses import KernelConfig, LossWeights, NumericError, cross_entropy
 from msdalab.model import build_model, forward_branch, predict
 from msdalab.trainer import (
     AdamState,
     HyperParams,
-    SuiteRun,
     adam_step,
     evaluate,
     render_runs_csv,
@@ -273,7 +273,9 @@ class TestProtocols:
 @pytest.fixture(scope="module")
 def result():
     hp = HyperParams(epochs=1, batch=8, seed=0, weights=LossWeights(lam=0.05, gamma=0.05))
-    return run_protocol_suite(default_roster(), "Os", hp, n_per_domain=40)
+    sources = {name: domain(name, 40) for name in ROSTER if name != "Os"}
+    train, _, test = split(domain("Os", 40), 0, stratified=False)
+    return run_protocol_suite(sources, strip_labels(train), test, hp)
 
 
 class TestSuite:
@@ -290,8 +292,8 @@ class TestSuite:
     def test_anchor_in_every_run(self, result):
         assert result.anchor == "Ab"
         for r in result.runs:
-            assert r.sources[0] == "Ab"
-            assert "Os" not in r.sources
+            assert r.source_names[0] == "Ab"
+            assert "Os" not in r.source_names
 
     def test_five_method_averages(self, result):
         assert list(result.method_averages) == [
@@ -323,9 +325,16 @@ class TestSuite:
             assert abs(float(avg) - np.mean(per_method[method])) <= 0.005
 
     def test_roster_too_small(self):
-        with pytest.raises(ContractError):
-            run_protocol_suite(default_roster()[:3], "Os", HyperParams(), n_per_domain=40)
+        sources = {name: domain(name, 40) for name in ("Ab", "Bu")}
+        with pytest.raises(ContractError, match=">= 3 non-target domains, got 2"):
+            run_protocol_suite(sources, *unlabeled_target(n=40), HyperParams())
 
     def test_unknown_target(self):
-        with pytest.raises(ContractError):
-            run_protocol_suite(default_roster(), "Zz", HyperParams(), n_per_domain=40)
+        # the suite takes loaded sets; an unknown target name stops at the config
+        with pytest.raises(UsageError, match="target 'Zz' not in roster"):
+            parse_config("target = Zz\n")
+
+    def test_anchor_must_be_a_source(self):
+        sources = {name: domain(name, 40) for name in ("Ab", "Bu", "Bo")}
+        with pytest.raises(ContractError, match="anchor 'Os' must be a non-target roster domain"):
+            run_protocol_suite(sources, *unlabeled_target(n=40), HyperParams(), anchor="Os")
