@@ -71,32 +71,8 @@ class Tensor:
     def __add__(self, other):
         return add(self, _as_tensor(other))
 
-    def __radd__(self, other):
-        return add(_as_tensor(other), self)
-
     def __sub__(self, other):
         return add(self, neg(_as_tensor(other)))
-
-    def __rsub__(self, other):
-        return add(_as_tensor(other), neg(self))
-
-    def __mul__(self, other):
-        return mul(self, _as_tensor(other))
-
-    def __rmul__(self, other):
-        return mul(_as_tensor(other), self)
-
-    def __truediv__(self, other):
-        other = _as_tensor(other)
-        if other.size != 1:
-            raise ShapeError(f"division only by scalars, got divisor shape {other.shape}")
-        return mul(self, reciprocal(other))
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, _as_tensor(other))
 
 
 def _as_tensor(x) -> Tensor:
@@ -242,19 +218,15 @@ def zero_grads(params: Iterable[Tensor]) -> None:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum. Shapes must match, or one side is a scalar, or
-    ``b``/``a`` is a length-n row bias added to an (m, n) matrix."""
+    """Elementwise sum. Shapes must match, or ``b`` is a scalar or a
+    length-n row bias added to an (m, n) matrix."""
     a, b = _as_tensor(a), _as_tensor(b)
     if a.shape == b.shape:
         return _emit(a.data + b.data, (a, b), lambda g: (g, g))
     if b.ndim == 0:
         return _emit(a.data + b.data, (a, b), lambda g: (g, np.asarray(g.sum())))
-    if a.ndim == 0:
-        return _emit(a.data + b.data, (a, b), lambda g: (np.asarray(g.sum()), g))
     if a.ndim == 2 and b.ndim == 1 and a.shape[1] == b.shape[0]:
         return _emit(a.data + b.data, (a, b), lambda g: (g, g.sum(axis=0)))
-    if a.ndim == 1 and b.ndim == 2 and b.shape[1] == a.shape[0]:
-        return _emit(a.data + b.data, (a, b), lambda g: (g.sum(axis=0), g))
     raise ShapeError(f"add: incompatible shapes {a.shape} and {b.shape}")
 
 
@@ -264,14 +236,12 @@ def neg(a: Tensor) -> Tensor:
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise product; shapes must match or one side is a scalar."""
+    """Elementwise product; shapes must match or ``b`` is a scalar."""
     a, b = _as_tensor(a), _as_tensor(b)
     if a.shape == b.shape:
         return _emit(a.data * b.data, (a, b), lambda g: (g * b.data, g * a.data))
     if b.ndim == 0:
         return _emit(a.data * b.data, (a, b), lambda g: (g * b.data, np.asarray((g * a.data).sum())))
-    if a.ndim == 0:
-        return _emit(a.data * b.data, (a, b), lambda g: (np.asarray((g * b.data).sum()), g * a.data))
     raise ShapeError(f"mul: incompatible shapes {a.shape} and {b.shape}")
 
 

@@ -62,7 +62,6 @@ class RunConfig:
     sources: list = field(default_factory=lambda: ["Ab", "Bu"])
     hyper: HyperParams = field(default_factory=HyperParams)
     output_dir: str = "out"
-    export_cams: bool = False
     n_per_domain: int = 800
     anchor: str | None = None
     n_images: int = 8
@@ -89,26 +88,21 @@ class RunConfig:
         return self
 
 
-def _parse_bool(raw: str, key: str) -> bool:
-    low = raw.strip().lower()
-    if low in ("true", "1", "yes"):
-        return True
-    if low in ("false", "0", "no"):
-        return False
-    raise UsageError(f"{key} must be a boolean, got {raw!r}")
-
-
 def parse_config(text: str) -> RunConfig:
     """Parse the flat key=value format into a validated RunConfig."""
     entries: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
         if not body:
             continue
         if "=" not in body:
             raise UsageError(f"config line {lineno}: expected key = value, got {line!r}")
-        key, value = body.split("=", 1)
-        entries[key.strip()] = value.strip()
+        key, value = (part.strip() for part in body.split("=", 1))
+        if key in first_line:
+            raise UsageError(f"config line {lineno}: {key!r} is already set on line {first_line[key]}")
+        first_line[key] = lineno
+        entries[key] = value
 
     roster = {s.name: s for s in default_roster()}
     order = list(roster)
@@ -145,8 +139,6 @@ def parse_config(text: str) -> RunConfig:
                 cfg_kw[key] = raw
             elif key == "anchor":
                 cfg_kw["anchor"] = raw or None
-            elif key == "export_cams":
-                cfg_kw["export_cams"] = _parse_bool(raw, key)
             elif key in ("n_per_domain", "n_images"):
                 cfg_kw[key] = int(raw)
             else:
@@ -173,7 +165,6 @@ def serialize_config(cfg: RunConfig) -> str:
         f"protocol = {cfg.protocol}",
         f"sources = {','.join(cfg.sources)}",
         f"output_dir = {cfg.output_dir}",
-        f"export_cams = {str(cfg.export_cams).lower()}",
         f"n_per_domain = {cfg.n_per_domain}",
         f"n_images = {cfg.n_images}",
     ]
@@ -302,8 +293,6 @@ def cmd_train(cfg: RunConfig) -> int:
     print(f"wrote {epochs_path}")
     print(f"wrote {ckpt_path}")
     print(f"target accuracy: {report.test_accuracy * 100:.2f}%")
-    if cfg.export_cams:
-        _export_cams(cfg, model, target_test)
     return 0
 
 
@@ -324,7 +313,12 @@ def cmd_suite(cfg: RunConfig) -> int:
     return 0
 
 
-def _export_cams(cfg: RunConfig, model, target_test) -> None:
+def cmd_cam(cfg: RunConfig, checkpoint: str) -> int:
+    ckpt = Path(checkpoint)
+    if not ckpt.exists():
+        raise UsageError(f"checkpoint {ckpt} does not exist")
+    model = load_checkpoint(ckpt)
+    _, target_test = _target_split(cfg)
     cam_dir = Path(cfg.output_dir) / "cams"
     cam_dir.mkdir(parents=True, exist_ok=True)
     n = min(cfg.n_images, target_test.n)
@@ -337,17 +331,6 @@ def _export_cams(cfg: RunConfig, model, target_test) -> None:
             export_pgm(hm, cam_dir / f"{cfg.target}_{j}_{cls}_{i:04d}.pgm")
         export_pgm(aggregate_cams(per_branch), cam_dir / f"{cfg.target}_aggregate_{cls}_{i:04d}.pgm")
     print(f"wrote {n * (model.num_sources + 1)} heatmaps under {cam_dir}")
-
-
-def cmd_cam(cfg: RunConfig, checkpoint: str, n_images: int | None) -> int:
-    ckpt = Path(checkpoint)
-    if not ckpt.exists():
-        raise UsageError(f"checkpoint {ckpt} does not exist")
-    model = load_checkpoint(ckpt)
-    if n_images is not None:
-        cfg = replace(cfg, n_images=n_images)
-    _, target_test = _target_split(cfg)
-    _export_cams(cfg, model, target_test)
     return 0
 
 
@@ -373,7 +356,6 @@ def main(argv=None) -> int:
         p.add_argument("--seed", type=int, default=None, help="override hyper.seed")
         if name == "cam":
             p.add_argument("--checkpoint", required=True)
-            p.add_argument("--n-images", type=int, default=None)
 
     try:
         args = parser.parse_args(argv)
@@ -384,7 +366,7 @@ def main(argv=None) -> int:
             return cmd_train(cfg)
         if args.command == "suite":
             return cmd_suite(cfg)
-        return cmd_cam(cfg, args.checkpoint, args.n_images)
+        return cmd_cam(cfg, args.checkpoint)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

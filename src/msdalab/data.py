@@ -15,6 +15,7 @@ influences the output.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -54,10 +55,11 @@ class DomainSpec:
             raise ContractError(f"domain name must be a non-empty token, got {self.name!r}")
         if not 0.0 <= self.background_level <= 1.0:
             raise ContractError(f"background_level must be in [0, 1], got {self.background_level}")
-        if self.blur_radius < 0.0:
-            raise ContractError(f"blur_radius must be >= 0, got {self.blur_radius}")
-        if self.noise_sigma < 0.0:
-            raise ContractError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+        for name, v in (("blur_radius", self.blur_radius), ("noise_sigma", self.noise_sigma)):
+            if not 0.0 <= v < math.inf:
+                raise ContractError(f"{name} must be finite and >= 0, got {v}")
+        if not math.isfinite(self.rotation_degrees):
+            raise ContractError(f"rotation_degrees must be finite, got {self.rotation_degrees}")
         if not 0.0 < self.glyph_contrast <= 1.0:
             raise ContractError(f"glyph_contrast must be in (0, 1], got {self.glyph_contrast}")
 

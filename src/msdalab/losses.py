@@ -69,10 +69,11 @@ class KernelConfig:
     def __post_init__(self):
         if len(self.bandwidth_multipliers) == 0:
             raise ContractError("need at least one bandwidth multiplier")
-        if any(m <= 0 for m in self.bandwidth_multipliers):
-            raise ContractError("bandwidth multipliers must be positive")
-        if self.base_bandwidth is not None and not self.base_bandwidth > 0:
-            raise ContractError(f"fixed base bandwidth must be positive, got {self.base_bandwidth}")
+        if not all(0.0 < m < math.inf for m in self.bandwidth_multipliers):
+            raise ContractError(f"bandwidth multipliers must be positive and finite, "
+                                f"got {self.bandwidth_multipliers}")
+        if self.base_bandwidth is not None and not 0.0 < self.base_bandwidth < math.inf:
+            raise ContractError(f"fixed base bandwidth must be positive and finite, got {self.base_bandwidth}")
 
 
 @dataclass(frozen=True)

@@ -61,30 +61,24 @@ class BranchOutput:
 class MsdaModel:
     """Parameter registry plus forward passes for the branched CNN."""
 
-    def __init__(self, num_sources: int, num_classes: int, image_spec: tuple, params: dict,
-                 center_input: bool = True):
+    def __init__(self, num_sources: int, num_classes: int, image_spec: tuple, params: dict):
         self.num_sources = num_sources
         self.num_classes = num_classes
         self.image_spec = tuple(int(v) for v in image_spec)
         self.params = params  # insertion-ordered name -> Tensor
-        self.center_input = center_input
 
     def parameters(self) -> list:
         return list(self.params.values())
-
-    def param_names(self) -> list:
-        return list(self.params.keys())
 
     def __getitem__(self, name: str) -> Tensor:
         return self.params[name]
 
 
-def build_model(num_sources: int, num_classes: int, image_spec=(1, 28, 28), seed: int = 0,
-                center_input: bool = True) -> MsdaModel:
+def build_model(num_sources: int, num_classes: int, image_spec=(1, 28, 28), seed: int = 0) -> MsdaModel:
     """Deterministically initialized model.
 
     Weights are fan-in scaled uniform, biases zero. The image must admit
-    three valid 3x3 convolutions (height and width >= 7). ``center_input``
+    three valid 3x3 convolutions (height and width >= 7). The forward pass
     subtracts each sample's mean intensity before the first convolution so
     the stack keys on structure rather than absolute brightness.
     """
@@ -116,7 +110,7 @@ def build_model(num_sources: int, num_classes: int, image_spec=(1, 28, 28), seed
         conv_block(f"branch{j}.conv", SHARED_MAPS_2, BRANCH_MAPS)
         affine_block(f"branch{j}.fc", BRANCH_MAPS, FEATURE_DIM)
         affine_block(f"branch{j}.cls", FEATURE_DIM, num_classes)
-    return MsdaModel(num_sources, num_classes, image_spec, params, center_input=center_input)
+    return MsdaModel(num_sources, num_classes, image_spec, params)
 
 
 def _check_input(model: MsdaModel, x: Tensor) -> None:
@@ -127,9 +121,7 @@ def _check_input(model: MsdaModel, x: Tensor) -> None:
 
 def _shared_forward(model: MsdaModel, x: Tensor) -> Tensor:
     p = model.params
-    if model.center_input:
-        x = center_per_sample(x)
-    h = relu(add_channel_bias(conv2d(x, p["shared.conv1.weight"]), p["shared.conv1.bias"]))
+    h = relu(add_channel_bias(conv2d(center_per_sample(x), p["shared.conv1.weight"]), p["shared.conv1.bias"]))
     return relu(add_channel_bias(conv2d(h, p["shared.conv2.weight"]), p["shared.conv2.bias"]))
 
 
@@ -222,6 +214,7 @@ def predict(model: MsdaModel, x: Tensor):
 #   num_sources <N>
 #   num_classes <c>
 #   image <channels> <h> <w>
+#   center_input 1          (fixed: every model centres its input)
 #   param <name> <ndim> <d0> ... <byte offset>
 #   ...
 #   END\n
@@ -236,7 +229,7 @@ def save_checkpoint(model: MsdaModel, path) -> None:
              f"num_sources {model.num_sources}",
              f"num_classes {model.num_classes}",
              "image " + " ".join(str(v) for v in model.image_spec),
-             f"center_input {int(model.center_input)}"]
+             "center_input 1"]
     blobs = []
     offset = 0
     for name, t in model.params.items():
@@ -254,8 +247,9 @@ def save_checkpoint(model: MsdaModel, path) -> None:
 
 def load_checkpoint(path) -> MsdaModel:
     """Read a file written by ``save_checkpoint``. A malformed or missing header
-    line, a missing, repeated or unknown parameter, an offset gap and a short
-    or long body raise ContractError. Header lines with other keys are ignored."""
+    line, a ``center_input`` value other than 1, a missing, repeated or unknown
+    parameter, an offset gap and a short or long body raise ContractError.
+    Header lines with other keys are ignored."""
     header, body = read_header(path, _MAGIC)
     meta = {}
     entries = []
@@ -276,13 +270,10 @@ def load_checkpoint(path) -> MsdaModel:
     for key in ("num_sources", "num_classes", "image"):
         if key not in meta:
             raise ContractError(f"{path}: header has no {key!r} line")
-    model = build_model(
-        meta["num_sources"][0],
-        meta["num_classes"][0],
-        tuple(meta["image"]),
-        seed=0,
-        center_input=bool(meta.get("center_input", [1])[0]),
-    )
+    if meta.get("center_input", [1]) != [1]:
+        raise ContractError(f"{path}: center_input is {meta['center_input'][0]}, but every model "
+                            "centres its input (center_input 1)")
+    model = build_model(meta["num_sources"][0], meta["num_classes"][0], tuple(meta["image"]), seed=0)
     loaded = set()
     end = 0
     for name, dims, offset in entries:

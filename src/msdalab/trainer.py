@@ -80,8 +80,9 @@ class HyperParams:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.lr > 0:
-            raise ContractError(f"lr must be positive, got {self.lr}")
+        for name, v in (("lr", self.lr), ("adam_eps", self.adam_eps)):
+            if not 0.0 < v < math.inf:
+                raise ContractError(f"{name} must be positive and finite, got {v}")
         for name, b in (("beta1", self.beta1), ("beta2", self.beta2)):
             if not 0.0 <= b < 1.0:
                 raise ContractError(f"{name} must lie in [0, 1), got {b}")

@@ -205,6 +205,16 @@ class TestPointwiseOps:
         f, params = fns[name]
         assert finite_difference_check(f, params, eps=1e-5) < FD_TOL
 
+    def test_center_per_sample_passes_gradient_check(self):
+        # exp keeps the upstream adjoint's per-sample mean away from zero, so
+        # an adjoint that forgets to subtract it fails the check
+        img = ad.parameter(rand((3, 2, 4, 5), 22))
+
+        def f():
+            return ad.tsum(ad.texp(ad.center_per_sample(img)))
+
+        assert finite_difference_check(f, [img], eps=1e-5) < FD_TOL
+
 
 class TestBroadcastPolicy:
     def test_row_bias_add_allowed(self):

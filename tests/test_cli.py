@@ -10,7 +10,6 @@ import pytest
 from msdalab.autodiff import Tensor
 from msdalab.cam import aggregate_cams, compute_cam, export_pgm, read_pgm
 from msdalab.cli import (
-    RunConfig,
     UsageError,
     cmd_generate,
     load_config,
@@ -66,21 +65,30 @@ class TestConfig:
             "target = Li\nprotocol = combined\nsources = Ab,Wi\nhyper.lr = 0.002\n"
             "hyper.lambda = 0.25\nhyper.kernel.bandwidth = 1.5\n"
             "hyper.kernel.multipliers = 0.5,1.0,2.0\nroster.Ab.noise_sigma = 0.125\n"
-            "export_cams = true\nanchor = Bu\n"
+            "n_images = 3\nanchor = Bu\n"
         )
         once = parse_config(text)
         again = parse_config(serialize_config(once))
         assert once == again
 
     def test_bad_key_rejected(self):
-        with pytest.raises(UsageError):
-            parse_config("no_such_key = 1\n")
+        for text, message in (("no_such_key = 1\n", "unknown config key 'no_such_key'"),
+                              ("n_images = 3\n# again\nn_images = 4\n",
+                               "config line 3: 'n_images' is already set on line 1")):
+            with pytest.raises(UsageError, match=message):
+                parse_config(text)
 
     def test_bad_value_rejected(self):
         for text in ("hyper.lr = fast\n", "hyper.lr = -1\n", "hyper.batch = 1\n",
-                     "hyper.lambda = -1\n", "hyper.kernel.bandwidth = 0\n"):
+                     "hyper.lambda = -1\n", "hyper.kernel.bandwidth = 0\n", "hyper.lr = inf\n",
+                     "hyper.adam_eps = -1\n", "hyper.adam_eps = nan\n", "hyper.kernel.bandwidth = inf\n",
+                     "hyper.kernel.multipliers = 1.0,nan\n"):
             with pytest.raises(UsageError, match="bad value for hyper"):
                 parse_config(text)
+        for key in ("roster.Os.rotation_degrees = nan", "roster.Os.noise_sigma = inf",
+                    "roster.Os.blur_radius = nan"):
+            with pytest.raises(UsageError, match="bad value for " + key.split(" ")[0]):
+                parse_config(key + "\n")
 
     def test_target_among_sources_rejected(self):
         with pytest.raises(UsageError):
@@ -261,11 +269,12 @@ class TestTrainSuiteCam:
 
 class TestExportCams:
     def test_train_export_matches_per_branch_maps(self, tmp_path):
-        path = write_config(tmp_path, protocol="multi", sources="Ab, Bu, Bo", export_cams="true",
+        path = write_config(tmp_path, protocol="multi", sources="Ab, Bu, Bo",
                             n_per_domain=40, **{"hyper.epochs": 1})
         assert main(["generate", "--config", str(path)]) == 0
         assert main(["train", "--config", str(path)]) == 0
         out = tmp_path / "out"
+        assert main(["cam", "--config", str(path), "--checkpoint", str(out / "checkpoint_multi_Os.ckpt")]) == 0
         model = load_checkpoint(out / "checkpoint_multi_Os.ckpt")
         target = read_dataset(out / "datasets" / "Os.msda")
         _, _, test = split(target, 0, stratified=False)

@@ -38,6 +38,10 @@ class TestDomainSpec:
             DomainSpec("x", blur_radius=-0.1)
         with pytest.raises(ContractError):
             DomainSpec("x", glyph_contrast=0.0)
+        for field, value in (("rotation_degrees", float("nan")), ("noise_sigma", float("inf")),
+                             ("blur_radius", float("nan")), ("blur_radius", float("inf"))):
+            with pytest.raises(ContractError, match=f"{field} must be finite"):
+                DomainSpec("x", **{field: value})
 
 
 class TestGenerateDomain:

@@ -31,7 +31,7 @@ class TestBuildModel:
     def test_same_seed_bitwise_identical(self):
         a = build_model(2, 2, seed=11)
         b = build_model(2, 2, seed=11)
-        assert a.param_names() == b.param_names()
+        assert list(a.params) == list(b.params)
         for pa, pb in zip(a.parameters(), b.parameters()):
             np.testing.assert_array_equal(pa.data, pb.data)
 
@@ -45,7 +45,7 @@ class TestBuildModel:
 
     def test_three_sources_structure(self):
         m = build_model(3, 2, seed=0)
-        names = m.param_names()
+        names = list(m.params)
         assert sum(1 for n in names if n.startswith("shared.")) == 4
         for j in range(3):
             assert f"branch{j}.conv.weight" in names
@@ -55,7 +55,7 @@ class TestBuildModel:
     def test_single_source_degenerate(self):
         m = build_model(1, 2, seed=0)
         assert m.num_sources == 1
-        assert not any(n.startswith("branch1.") for n in m.param_names())
+        assert not any(n.startswith("branch1.") for n in m.params)
 
     def test_biases_zero(self):
         m = build_model(2, 3, seed=5)
@@ -322,6 +322,8 @@ HEADER_FAULTS = {
                        r"header has no 'num_sources' line"),
     "non_ascii_byte": (lambda ls: [l.replace("num_classes", "num_cl\u00e9sses") for l in ls],
                        r"header byte \d+ is 0xc3, not ASCII"),
+    "center_input_0": (lambda ls: [l.replace("center_input 1", "center_input 0") for l in ls],
+                       r"center_input is 0, but every model centres its input"),
 }
 
 
@@ -334,7 +336,7 @@ class TestCheckpoint:
         save_checkpoint(m, path)
         back = load_checkpoint(path)
         assert back.num_sources == 3 and back.num_classes == 2
-        assert back.center_input == m.center_input
+        assert list(back.params) == list(m.params)
         for a, b in zip(m.parameters(), back.parameters()):
             np.testing.assert_array_equal(a.data, b.data)
 

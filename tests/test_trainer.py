@@ -14,8 +14,8 @@ from msdalab import trainer
 from msdalab.autodiff import ContractError, Tensor
 from msdalab.cli import UsageError, parse_config
 from msdalab.data import LabeledSet, default_roster, generate_domain, split, strip_labels
-from msdalab.losses import KernelConfig, LossWeights, NumericError, cross_entropy
-from msdalab.model import build_model, forward_branch, predict
+from msdalab.losses import LossWeights, NumericError, cross_entropy
+from msdalab.model import build_model, forward_branch
 from msdalab.trainer import (
     AdamState,
     HyperParams,
