@@ -386,14 +386,18 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1) -> Tensor:
     Returns:
         (batch, c_out, h', w') with h' = floor((h - kh)/stride) + 1.
 
-    Layout: ``x`` is copied once, channel-major, into a (c_in, b*h*w + reach)
-    buffer with ``reach = (kh-1)*w + kw-1`` zero columns at the end. Tap
-    (i, j) of every output position is then the contiguous slice starting at
-    ``i*w + j``, so ``cols`` (c_in*kh*kw, b*h*w) is built from kh*kw slice
-    copies and the forward pass is one GEMM. Outputs are computed at every
-    input position and cropped to the valid, strided ones. ``cols`` holds
-    about c_in*kh*kw*b*h*w float64 (8 bytes each) and lives on the tape
-    until the graph is dropped, since dK needs it.
+    Layout: ``x`` is copied once into a (c_in, h, b, w) buffer, so each
+    input row holds the b images side by side, flattened to one line of
+    n = h*b*w per channel and padded with zeros to ``max(n, reach + m)``,
+    where ``reach = (kh-1)*b*w + kw-1``. Tap (i, j) of every output position
+    is then the slice starting at ``i*b*w + j``. Outputs are computed only
+    on the m = (stride*(h'-1) + 1)*b*w positions up to the last valid output
+    row, and cropped to the valid, strided ones. ``cols`` is tap-major,
+    (kh*kw, c_in, m), and the kernel is permuted to (c_out, kh, kw, c_in) to
+    match, so each tap copy and each shifted add of the input gradient is
+    one contiguous block and the forward pass is one GEMM. ``cols`` holds
+    kh*kw*c_in*m float64 (8 bytes each) and lives on the tape until the
+    graph is dropped, since dK needs it.
     """
     x, kernel = _as_tensor(x), _as_tensor(kernel)
     if x.ndim != 4 or kernel.ndim != 4:
@@ -409,36 +413,44 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1) -> Tensor:
 
     oh = (h - kh) // stride + 1
     ow = (w - kw) // stride + 1
-    n = b * h * w
-    offsets = [i * w + j for i in range(kh) for j in range(kw)]
-    flat = np.empty((cin, n + offsets[-1]))  # offsets[-1] is the reach
-    flat[:, :n].reshape(cin, b, h, w)[...] = x.data.transpose(1, 0, 2, 3)
+    row = b * w
+    n = h * row
+    rows = stride * (oh - 1) + 1  # input rows up to the last valid output row
+    m = rows * row
+    offsets = [i * row + j for i in range(kh) for j in range(kw)]
+    # at stride > 1 the computed rows can end before the last input row
+    length = max(n, offsets[-1] + m)  # offsets[-1] is the reach
+    flat = np.empty((cin, length))
+    flat[:, :n].reshape(cin, h, b, w)[...] = x.data.transpose(1, 2, 0, 3)
     flat[:, n:] = 0.0
-    cols = np.empty((cin, kh * kw, n))
+    cols = np.empty((kh * kw, cin, m))
     for t, off in enumerate(offsets):
-        cols[:, t] = flat[:, off : off + n]
-    cols = cols.reshape(cin * kh * kw, n)
-    wmat = kernel.data.reshape(cout, cin * kh * kw)
-    # rows and columns of the valid, strided outputs inside the full grid
-    valid = (slice(None), slice(None), slice(0, stride * oh, stride), slice(0, stride * ow, stride))
-    full = (wmat @ cols).reshape(cout, b, h, w)
-    out = np.ascontiguousarray(full[valid].transpose(1, 0, 2, 3))
+        cols[t] = flat[:, off : off + m]
+    cols = cols.reshape(kh * kw * cin, m)
+    wmat = kernel.data.transpose(0, 2, 3, 1).reshape(cout, kh * kw * cin)
+    # rows and columns of the valid, strided outputs inside the computed grid
+    valid = (slice(None), slice(None, None, stride), slice(None), slice(0, stride * ow, stride))
+    full = (wmat @ cols).reshape(cout, rows, b, w)
+    out = np.ascontiguousarray(full[valid].transpose(2, 0, 1, 3))
 
     def back(g):
-        g_full = np.zeros((cout, b, h, w))
-        g_full[valid] = g.transpose(1, 0, 2, 3)
-        g_full = g_full.reshape(cout, n)
+        g_full = np.zeros((cout, rows, b, w))
+        g_full[valid] = g.transpose(1, 2, 0, 3)
+        g_full = g_full.reshape(cout, m)
         gk = gx = None
         if kernel.requires_grad:
-            gk = (g_full @ cols.T).reshape(kernel.shape)
+            gk = np.ascontiguousarray(
+                (g_full @ cols.T).reshape(cout, kh, kw, cin).transpose(0, 3, 1, 2))
         if x.requires_grad:
-            gcols = (wmat.T @ g_full).reshape(cin, kh * kw, n)
-            # a valid output at p reads x at p + off < n, so the tail of each
-            # shifted slice holds only invalid outputs, whose adjoint is zero
-            gflat = gcols[:, 0].copy()
+            gcols = (wmat.T @ g_full).reshape(kh * kw, cin, m)
+            # a valid output at p reads x at p + off < n, so whatever lands
+            # past n comes from invalid outputs, whose adjoint is zero
+            gflat = np.empty((cin, length))
+            gflat[:, :m] = gcols[0]
+            gflat[:, m:] = 0.0
             for t, off in enumerate(offsets[1:], start=1):
-                gflat[:, off:] += gcols[:, t, : n - off]
-            gx = np.ascontiguousarray(gflat.reshape(cin, b, h, w).transpose(1, 0, 2, 3))
+                gflat[:, off : off + m] += gcols[t]
+            gx = np.ascontiguousarray(gflat[:, :n].reshape(cin, h, b, w).transpose(2, 0, 1, 3))
         return (gx, gk)
 
     return _emit(out, (x, kernel), back)
@@ -452,13 +464,31 @@ def add_channel_bias(x: Tensor, bias: Tensor) -> Tensor:
     return _emit(x.data + bias.data[None, :, None, None], (x, bias), lambda g: (g, g.sum(axis=(0, 2, 3))))
 
 
-def concat_rows(a: Tensor, b: Tensor) -> Tensor:
-    """Stack two (n, d) / (m, d) tensors into an (n+m, d) tensor."""
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
-        raise ShapeError(f"concat_rows: incompatible shapes {a.shape} and {b.shape}")
-    n = a.shape[0]
-    return _emit(np.concatenate([a.data, b.data], axis=0), (a, b), lambda g: (g[:n], g[n:]))
+def concat(tensors: Sequence[Tensor]) -> Tensor:
+    """Join tensors along axis 0; every other axis must agree."""
+    tensors = [_as_tensor(t) for t in tensors]
+    if not tensors:
+        raise ShapeError("concat needs at least one tensor")
+    rest = tensors[0].shape[1:]
+    if any(t.ndim == 0 or t.shape[1:] != rest for t in tensors):
+        raise ShapeError(f"concat: incompatible shapes {[t.shape for t in tensors]}")
+    bounds = np.cumsum([t.shape[0] for t in tensors])[:-1]
+    return _emit(np.concatenate([t.data for t in tensors]), tuple(tensors),
+                 lambda g: tuple(np.split(g, bounds)))
+
+
+def slice_cols(a: Tensor, lo: int, hi: int) -> Tensor:
+    """Columns ``lo .. hi-1`` of an (m, n) tensor, as an (m, hi-lo) tensor."""
+    a = _as_tensor(a)
+    if a.ndim != 2 or not 0 <= lo < hi <= a.shape[1]:
+        raise ShapeError(f"slice_cols: columns [{lo}, {hi}) of a tensor of shape {a.shape}")
+
+    def back(g):
+        ga = np.zeros(a.shape)
+        ga[:, lo:hi] = g
+        return (ga,)
+
+    return _emit(a.data[:, lo:hi].copy(), (a,), back)
 
 
 def take(a: Tensor, flat_indices) -> Tensor:

@@ -26,7 +26,7 @@ from .autodiff import (
     Tensor,
     _as_tensor,
     as_scalar,
-    concat_rows,
+    concat,
     matmul,
     mul,
     pairwise_sq_dists,
@@ -144,7 +144,7 @@ def mmd_squared(source: Tensor, target: Tensor, cfg: KernelConfig = KernelConfig
     if source is target:  # every weight cancels; kept tracked so backward still reaches it
         return mul(tsum(source), 0.0)
     n, m = source.shape[0], target.shape[0]
-    z = concat_rows(source, target)
+    z = concat([source, target])
     d = pairwise_sq_dists(z, z)
     if cfg.base_bandwidth is None:
         sigma_sq = median_sq_dist_bandwidth(d)

@@ -11,9 +11,10 @@ Architecture (valid convolutions, no padding):
 
 A batch that every branch sees (the target batch in training, and every
 batch in ``predict``) goes through the shared extractor once and fans out
-to the branches (``forward_all``). Without a tape, ``all_feature_maps``
-also stacks the branch kernels on the output-channel axis, so all branch
-convolutions run as one convolution.
+to the branches (``forward_all``). The branch kernels are stacked on the
+output-channel axis for every such batch, under grad too, so all branch
+convolutions run as one convolution. Source batches, which only their own
+branch sees, keep ``forward_branch``.
 """
 
 from __future__ import annotations
@@ -29,11 +30,13 @@ from .autodiff import (
     add,
     add_channel_bias,
     center_per_sample,
+    concat,
     conv2d,
     global_avg_pool,
     matmul,
     no_grad,
     relu,
+    slice_cols,
     softmax_rows,
     uniform_parameter,
 )
@@ -130,6 +133,15 @@ def _branch_maps(model: MsdaModel, shared: Tensor, j: int) -> Tensor:
     return relu(add_channel_bias(conv2d(shared, p[f"branch{j}.conv.weight"]), p[f"branch{j}.conv.bias"]))
 
 
+def _stacked_maps(model: MsdaModel, shared: Tensor) -> Tensor:
+    """Every branch's maps from one convolution with the stacked branch kernels."""
+    p = model.params
+    convs = [f"branch{j}.conv" for j in range(model.num_sources)]
+    kernel = concat([p[f"{c}.weight"] for c in convs])
+    bias = concat([p[f"{c}.bias"] for c in convs])
+    return relu(add_channel_bias(conv2d(shared, kernel), bias))
+
+
 def _branch_head(model: MsdaModel, pooled: Tensor, j: int) -> BranchOutput:
     """Affine feature map and classifier of branch ``j`` on its pooled maps."""
     p = model.params
@@ -156,13 +168,15 @@ def forward_branch(model: MsdaModel, x: Tensor, j: int) -> BranchOutput:
 
 
 def forward_all(model: MsdaModel, x: Tensor) -> list:
-    """``forward_branch`` for every branch, with one shared-extractor pass.
+    """``forward_branch`` for every branch, with one shared-extractor pass
+    and one stacked branch convolution.
 
     Element ``j`` equals ``forward_branch(model, x, j)`` exactly.
     """
     _check_input(model, x)
-    shared = _shared_forward(model, x)
-    return [_branch_head(model, global_avg_pool(_branch_maps(model, shared, j)), j)
+    pooled = global_avg_pool(_stacked_maps(model, _shared_forward(model, x)))
+    k = BRANCH_MAPS
+    return [_branch_head(model, slice_cols(pooled, j * k, (j + 1) * k), j)
             for j in range(model.num_sources)]
 
 
@@ -170,17 +184,11 @@ def all_feature_maps(model: MsdaModel, x: Tensor) -> np.ndarray:
     """Pre-GAP maps of every branch, untracked, (b, branches * k, h', w').
 
     Channels ``j*k .. (j+1)*k - 1`` equal ``feature_maps(model, x, j)``. The
-    branch kernels are stacked on the output-channel axis, so the shared
-    extractor and the branch convolutions each run once.
+    shared extractor and the stacked branch convolution each run once.
     """
     _check_input(model, x)
-    p = model.params
-    convs = [f"branch{j}.conv" for j in range(model.num_sources)]
     with no_grad():
-        shared = _shared_forward(model, x)
-        kernel = Tensor(np.concatenate([p[f"{c}.weight"].data for c in convs]))
-        bias = Tensor(np.concatenate([p[f"{c}.bias"].data for c in convs]))
-        return relu(add_channel_bias(conv2d(shared, kernel), bias)).data
+        return _stacked_maps(model, _shared_forward(model, x)).data
 
 
 def predict(model: MsdaModel, x: Tensor):
@@ -192,14 +200,10 @@ def predict(model: MsdaModel, x: Tensor):
     makes it so) raises ContractError naming the rows, instead of being
     labelled.
     """
-    pooled = all_feature_maps(model, x).mean(axis=(2, 3))
     with no_grad():
-        acc = None
-        for j in range(model.num_sources):
-            cols = pooled[:, j * BRANCH_MAPS : (j + 1) * BRANCH_MAPS]
-            probs = _branch_head(model, Tensor(cols), j).probs
-            acc = probs if acc is None else add(acc, probs)
-        avg = Tensor(acc.data / model.num_sources)
+        outs = forward_all(model, x)
+    acc = sum((out.probs.data for out in outs[1:]), outs[0].probs.data)
+    avg = Tensor(acc / model.num_sources)
     bad = np.flatnonzero(~np.isfinite(avg.data).all(axis=1))
     if bad.size:
         raise ContractError(f"non-finite class probabilities in rows {bad.tolist()}")

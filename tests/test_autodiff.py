@@ -98,6 +98,9 @@ class TestConv2d:
         (2, (2, 3, 7, 6), (2, 3, 3, 3)),
         (3, (1, 1, 8, 11), (2, 1, 2, 4)),
         (3, (2, 2, 9, 5), (1, 2, 1, 1)),
+        # images sit side by side in each row: a tap that crosses into the
+        # next image shows only with batch >= 2 and kw >= 2
+        (1, (3, 2, 6, 5), (2, 2, 3, 2)),
     ])
     def test_matches_nested_loop_reference(self, stride, x_shape, k_shape):
         x = ad.parameter(rand(x_shape, 30))
@@ -176,7 +179,8 @@ class TestPointwiseOps:
     @pytest.mark.parametrize(
         "name",
         ["relu", "softmax", "gap", "exp", "log", "abs", "lse", "pairwise", "take",
-         "concat", "channel_bias", "transpose", "sum_axis", "mean", "add_bias", "reciprocal"],
+         "concat", "concat_rank1", "concat_rank4", "slice_cols", "channel_bias", "transpose",
+         "sum_axis", "mean", "add_bias", "reciprocal"],
     )
     def test_every_primitive_passes_gradient_check(self, name):
         rng = np.random.default_rng(zlib.crc32(name.encode()))
@@ -184,6 +188,8 @@ class TestPointwiseOps:
         y = ad.parameter(rng.uniform(-1, 1, (5, 3)))
         img = ad.parameter(rng.uniform(-1, 1, (2, 3, 4, 4)))
         bias = ad.parameter(rng.uniform(-1, 1, 3))
+        vec = ad.parameter(rng.uniform(-1, 1, 2))
+        img1 = ad.parameter(rng.uniform(-1, 1, (1, 3, 4, 4)))
         fns = {
             "relu": (lambda: ad.tsum(ad.mul(relu(x), x)), [x]),
             "softmax": (lambda: ad.tsum(ad.mul(softmax_rows(x), Tensor(y.data[:4]))), [x]),
@@ -194,7 +200,11 @@ class TestPointwiseOps:
             "lse": (lambda: ad.tsum(ad.log_sum_exp_rows(x)), [x]),
             "pairwise": (lambda: ad.tsum(ad.pairwise_sq_dists(x, y)), [x, y]),
             "take": (lambda: ad.tsum(ad.take(x, [0, 5, 5, 11])), [x]),
-            "concat": (lambda: ad.tsum(ad.mul(ad.concat_rows(x, y), ad.concat_rows(x, y))), [x, y]),
+            "concat": (lambda: ad.tsum(ad.mul(ad.concat([x, y]), ad.concat([x, y]))), [x, y]),
+            "concat_rank1": (lambda: ad.tsum(ad.texp(ad.concat([bias, vec, bias]))), [bias, vec]),
+            "concat_rank4": (lambda: ad.tsum(ad.mul(ad.concat([img, img1, img]), ad.concat([img1, img, img]))),
+                             [img, img1]),
+            "slice_cols": (lambda: ad.tsum(ad.mul(ad.slice_cols(x, 1, 3), ad.slice_cols(x, 0, 2))), [x]),
             "channel_bias": (lambda: ad.tsum(ad.mul(ad.add_channel_bias(img, bias), img)), [img, bias]),
             "transpose": (lambda: ad.tsum(matmul(ad.transpose(x), x)), [x]),
             "sum_axis": (lambda: ad.tsum(ad.mul(ad.tsum(x, axis=1), ad.tsum(x, axis=1))), [x]),
@@ -204,6 +214,17 @@ class TestPointwiseOps:
         }
         f, params = fns[name]
         assert finite_difference_check(f, params, eps=1e-5) < FD_TOL
+
+    def test_concat_and_slice_cols_reject_bad_shapes(self):
+        with pytest.raises(ShapeError, match="concat"):
+            ad.concat([Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 4)))])
+        with pytest.raises(ShapeError, match="concat"):
+            ad.concat([Tensor(np.zeros(2)), Tensor(1.0)])
+        with pytest.raises(ShapeError, match="concat"):
+            ad.concat([])
+        for lo, hi in [(2, 2), (-1, 2), (1, 4)]:
+            with pytest.raises(ShapeError, match="slice_cols"):
+                ad.slice_cols(Tensor(np.zeros((2, 3))), lo, hi)
 
     def test_center_per_sample_passes_gradient_check(self):
         # exp keeps the upstream adjoint's per-sample mean away from zero, so

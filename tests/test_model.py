@@ -1,5 +1,7 @@
 """Model structure, forward contracts, gradient isolation, checkpoints."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -229,6 +231,28 @@ class TestSharedTrunkFanOut:
                  "branch1.fc.bias", "branch0.cls.weight", "branch1.cls.weight"]
         assert ad.finite_difference_check(f, [m[n] for n in names], eps=1e-5) < 1e-4
 
+    def test_stacked_gradients_match_per_branch_gradients(self):
+        m = build_model(3, 2, seed=55)
+        rng = np.random.default_rng(56)
+        for p in m.parameters():
+            p.data += rng.normal(size=p.data.shape) * 0.1
+        x = small_images(6, seed=10)
+        labels = [0, 1, 1, 0, 1, 0]
+
+        def grads(outs):
+            with ad.scoped_tape():
+                losses = [cross_entropy(out.logits, labels) for out in outs()]
+                ad.zero_grads(m.parameters())
+                backward(sum(losses[1:], losses[0]))
+            return {name: p.grad.copy() for name, p in m.params.items()}
+
+        stacked = grads(lambda: forward_all(m, x))
+        per_branch = grads(lambda: [forward_branch(m, x, j) for j in range(3)])
+        for name, want in per_branch.items():
+            scale = np.abs(want).max()
+            assert scale > 0.0, name
+            assert np.abs(stacked[name] - want).max() <= 1e-12 * scale, name
+
     def test_non_finite_image_is_not_labelled(self):
         m = build_model(2, 2, seed=52)
         x = small_images(4, seed=9)
@@ -237,14 +261,19 @@ class TestSharedTrunkFanOut:
             predict(m, x)
 
 
-def _count_trunk_passes(monkeypatch, m):
-    """Count conv2d calls on the model's first shared kernel."""
-    calls = []
+def _count_convs(monkeypatch, m):
+    """Count conv2d calls: "trunk" on the model's first shared kernel, and
+    "branch" on any kernel that is not a shared one (a branch kernel or
+    the stack of them)."""
+    calls = Counter()
     conv = model_module.conv2d
+    shared = (m["shared.conv1.weight"], m["shared.conv2.weight"])
 
     def counting(x, kernel, *args, **kwargs):
-        if kernel is m["shared.conv1.weight"]:
-            calls.append(1)
+        if kernel is shared[0]:
+            calls["trunk"] += 1
+        elif kernel is not shared[1]:
+            calls["branch"] += 1
         return conv(x, kernel, *args, **kwargs)
 
     monkeypatch.setattr(model_module, "conv2d", counting)
@@ -254,9 +283,9 @@ def _count_trunk_passes(monkeypatch, m):
 class TestTrunkPasses:
     def test_one_per_predict(self, monkeypatch):
         m = build_model(3, 2, seed=53)
-        calls = _count_trunk_passes(monkeypatch, m)
+        calls = _count_convs(monkeypatch, m)
         predict(m, small_images(4))
-        assert len(calls) == 1
+        assert calls == {"trunk": 1, "branch": 1}
 
     @pytest.mark.parametrize("sources, expected", [(3, 4), (1, 2)])
     def test_per_training_step(self, monkeypatch, sources, expected):
@@ -267,12 +296,14 @@ class TestTrunkPasses:
         hp = HyperParams(epochs=1, batch=14, seed=0, weights=LossWeights(lam=0.1, gamma=0.1))
         monkeypatch.setattr(trainer, "_val_accuracy", lambda model, val_sets: 0.0)
         m = build_model(sources, 2, seed=54)
-        calls = _count_trunk_passes(monkeypatch, m)
+        calls = _count_convs(monkeypatch, m)
         if sources == 1:
             train_single_source(m, domains[0], target, hp)
         else:
             train_multi_source(m, domains, target, hp)
-        assert len(calls) == expected
+        assert calls["trunk"] == expected
+        # one conv per source batch, plus one stacked conv for the target batch
+        assert calls["branch"] == sources + 1
 
 
 class TestFeatureMaps:
